@@ -160,8 +160,6 @@ func main() {
 	fuzzSeed := flag.Int64("seed", 1, "scenario generator seed for -fuzz")
 	fuzzDir := flag.String("fuzzdir", "fuzz-repros", "directory for shrunk reproducer specs of failing fuzz scenarios ('' disables)")
 	fuzzSpec := flag.String("fuzzspec", "", "replay one fuzz reproducer spec file and check its invariants")
-	overload := flag.Bool("overload", false, "shorthand for -exp overloadsweep")
-	crash := flag.Bool("crash", false, "shorthand for -exp crashsweep")
 	flag.StringVar(&crashCSVPath, "crashcsv", "", "write crashsweep rows (recovery time, blast radius) as CSV to this file")
 	flag.StringVar(&monitorBasePath, "monitor", "", "write monitorsweep telemetry artifacts (windowed CSV + alert ledger per case) using this base path")
 	flag.StringVar(&recordTracePath, "record", "", "write the recorded op trace to this file (see TRACES.md)")
@@ -171,21 +169,6 @@ func main() {
 	admission := flag.Bool("admission", false, "enable the overload-admission policy for -replay")
 	traceDiff := flag.String("tracediff", "", "compare two recorded op traces given as a.trace,b.trace and exit")
 	flag.Parse()
-
-	if *overload {
-		if *exp != "" && *exp != "overloadsweep" {
-			fmt.Fprintln(os.Stderr, "-overload conflicts with -exp "+*exp)
-			os.Exit(2)
-		}
-		*exp = "overloadsweep"
-	}
-	if *crash {
-		if *exp != "" && *exp != "crashsweep" {
-			fmt.Fprintln(os.Stderr, "-crash conflicts with -exp "+*exp)
-			os.Exit(2)
-		}
-		*exp = "crashsweep"
-	}
 
 	if *traceDiff != "" {
 		runTraceDiff(*traceDiff, diffCSVPath)

@@ -189,7 +189,7 @@ func RunAblationImagePull(scale Scale) AblationRow {
 	// Classic flow: transfer the image bytes from the registry (the
 	// cluster stands in) to the local disks and expand, once per
 	// container, before the same startup runs from the local copy.
-	r := newScaledRig(4, scale)
+	r := newScaledRig(4, scale, nil)
 	params := r.tb.Params
 	imageBytes := params.ExecBinaryBytes + params.MmapLibraryBytes +
 		params.StartupAppFileBytes + int64(params.StartupOpCount)*(2<<10)

@@ -76,29 +76,28 @@ func CrashSweepCases() []CrashSweepCase {
 	}
 }
 
-// crashWindow places the outage inside the measurement window.
-func crashWindow(c CrashSweepCase, scale Scale) faults.Window {
-	return faults.Window{
-		Kind:   c.Kind,
-		Tenant: crashTenant(c.Kind),
-		Start:  time.Duration(float64(scale.Duration) * 0.3),
-		End:    time.Duration(float64(scale.Duration) * 0.5),
+// crashPlan crashes kind's component in the victim pool (the whole
+// host for HostCrash) from fraction from to fraction to of the
+// measurement window.
+func crashPlan(kind faults.Kind, scale Scale, from, to float64) faults.Plan {
+	w := faults.Window{
+		Kind:   kind,
+		Tenant: "fls0",
+		Start:  time.Duration(float64(scale.Duration) * from),
+		End:    time.Duration(float64(scale.Duration) * to),
 	}
-}
-
-func crashTenant(k faults.Kind) string {
-	if k == faults.HostCrash {
-		return ""
+	if kind == faults.HostCrash {
+		w.Tenant = ""
 	}
-	return "fls0"
+	return faults.Plan{Windows: []faults.Window{w}}
 }
 
 // RunCrashSweep executes one crash-sweep case: victim pool 0 runs a
-// WAL writer and reopens its handle after the crash invalidates it,
+// WAL writer that reopens its handle after the crash invalidates it,
 // bystander pool 1 reads a warm file, and the crash window is
 // installed relative to the measurement window.
 func RunCrashSweep(c CrashSweepCase, scale Scale) CrashSweepRow {
-	r := newScaledRig(4, scale)
+	r := newScaledRig(4, scale, nil)
 	r.tb.Cluster.SetReplication(c.Replication)
 	row := CrashSweepRow{Label: c.Label, Config: c.Config, Replication: c.Replication, Kind: c.Kind}
 
@@ -115,118 +114,36 @@ func RunCrashSweep(c CrashSweepCase, scale Scale) CrashSweepRow {
 	const warmSize = 16 << 20
 
 	r.runMaster(func(p *sim.Proc) {
-		prepare(p, r.tb.Eng,
-			func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-				h, err := victim.Mount.Default.Open(ctx, "/wal", vfsapi.CREATE|vfsapi.WRONLY)
-				if err != nil {
-					panic(err)
-				}
-				if err := h.Close(ctx); err != nil {
-					panic(err)
-				}
-			},
-			func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: byst.NewThread()}
-				h, err := byst.Mount.Default.Open(ctx, "/warm", vfsapi.CREATE|vfsapi.WRONLY)
-				if err != nil {
-					panic(err)
-				}
-				if _, err := h.Append(ctx, warmSize); err != nil {
-					panic(err)
-				}
-				if err := h.Fsync(ctx); err != nil {
-					panic(err)
-				}
-				if err := h.Close(ctx); err != nil {
-					panic(err)
-				}
-			},
-		)
+		prepare(p, r.tb.Eng, prepFile(victim, "/wal", 0, walOp), prepFile(byst, "/warm", warmSize, warmSize))
 
 		clock := clockFor(r.tb.Eng, scale)
-		w := crashWindow(c, scale)
-		plan := faults.Plan{Windows: []faults.Window{w}}
+		plan := crashPlan(c.Kind, scale, 0.3, 0.5)
 		if _, err := faults.InstallWithTargets(r.tb.Eng, r.tb.Cluster, r.tb, plan, clock.From); err != nil {
 			panic(err)
 		}
-		crashAbs := clock.From + w.Start
+		crashAbs := clock.From + plan.Windows[0].Start
 
-		writer := workloads.NewStats()
-		warm := workloads.NewStats()
-		var acked, walSize int64
+		// The victim's first completed op after the crash instant ends
+		// its end-to-end repair.
 		var victimRepaired time.Duration
+		markRepair := func(now time.Duration, err error) {
+			if err == nil && victimRepaired == 0 && now >= crashAbs {
+				victimRepaired = now - crashAbs
+			}
+		}
 
 		g := workloads.NewGroup(r.tb.Eng)
-		g.Go("wal-writer", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/wal", vfsapi.WRONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer func() { h.Close(ctx) }()
-			for !clock.Done() {
-				start := pp.Now()
-				_, werr := h.Append(ctx, walOp)
-				if werr == nil {
-					walSize += walOp
-					werr = h.Fsync(ctx)
-				}
-				now := pp.Now()
-				if werr != nil {
-					if clock.Measuring() {
-						writer.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-					// The crash invalidated the handle generation; a fresh
-					// open succeeds once the client is back. The reopened
-					// size discounts whatever appends the crash discarded.
-					if nh, oerr := victim.Mount.Default.Open(ctx, "/wal", vfsapi.WRONLY); oerr == nil {
-						h.Close(ctx)
-						h = nh
-						walSize = nh.Size()
-					}
-					continue
-				}
-				acked = walSize
-				if victimRepaired == 0 && now >= crashAbs {
-					victimRepaired = now - crashAbs
-				}
-				if clock.Measuring() {
-					writer.Record(walOp, now-start)
-				}
-			}
-		})
-		g.Go("bystander", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: byst.NewThread()}
-			h, err := byst.Mount.Default.Open(ctx, "/warm", vfsapi.RDONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer func() { h.Close(ctx) }()
-			var off int64
-			for !clock.Done() {
-				start := pp.Now()
-				n, rerr := h.Read(ctx, off, 128<<10)
-				now := pp.Now()
-				if rerr != nil {
-					if clock.Measuring() {
-						warm.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-					if nh, oerr := byst.Mount.Default.Open(ctx, "/warm", vfsapi.RDONLY); oerr == nil {
-						h.Close(ctx)
-						h = nh
-					}
-				} else if clock.Measuring() {
-					warm.Record(n, now-start)
-				}
-				off += 128 << 10
-				if off >= warmSize {
-					off = 0
-				}
-			}
-		})
+		writer := &workloads.WALWriter{
+			FS: victim.Mount.Default, Path: "/wal", OpSize: walOp, NewThread: victim.NewThread,
+			Reopen: plan.ClientCrash(), Stats: workloads.NewStats(),
+			OnOp: func() func(time.Duration, error) { return markRepair },
+		}
+		writer.Run(g, clock)
+		warm := &workloads.SeqReader{
+			Name: "bystander", FS: byst.Mount.Default, Path: "/warm", Size: warmSize, Chunk: 128 << 10,
+			NewThread: byst.NewThread, Reopen: plan.ClientCrash(), Stats: workloads.NewStats(),
+		}
+		warm.Run(g, clock)
 		g.Wait(p)
 
 		// Durability audit through a fresh post-recovery handle: the
@@ -237,15 +154,15 @@ func RunCrashSweep(c CrashSweepCase, scale Scale) CrashSweepRow {
 			remount = h.Size()
 			h.Close(ctx)
 		}
-		if loss := acked - remount; loss > 0 {
+		if loss := writer.Acked - remount; loss > 0 {
 			row.DurabilityViolation = loss
 		}
 
 		window := clock.Window()
-		row.VictimWriteMBps = writer.ThroughputMBps(window)
-		row.VictimErrors = writer.Errors
-		row.BystanderMBps = warm.ThroughputMBps(window)
-		row.BystanderErrors = warm.Errors
+		row.VictimWriteMBps = writer.Stats.ThroughputMBps(window)
+		row.VictimErrors = writer.Stats.Errors
+		row.BystanderMBps = warm.Stats.ThroughputMBps(window)
+		row.BystanderErrors = warm.Stats.Errors
 		row.VictimRepair = victimRepaired
 		for _, ev := range r.tb.CrashLog() {
 			row.AffectedTenants += len(ev.Affected)

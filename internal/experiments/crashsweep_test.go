@@ -11,10 +11,13 @@ import (
 // the same invariant checker the harness uses: a Danaus libservice or
 // FUSE daemon crash degrades only the crashed tenant, a kernel-client
 // crash interrupts every pool on the host, recovery completes, and no
-// fsync-acknowledged byte is lost.
+// fsync-acknowledged byte is lost. The rows must also reproduce the
+// crashsweep section of harness_quick.txt.
 func TestCrashSweepContainment(t *testing.T) {
+	var lines []string
 	for _, c := range CrashSweepCases() {
 		row := RunCrashSweep(c, QuickScale)
+		lines = append(lines, "  "+row.String())
 		for _, v := range CrashRowViolations(row) {
 			t.Error(v)
 		}
@@ -25,6 +28,7 @@ func TestCrashSweepContainment(t *testing.T) {
 			t.Errorf("%s: bystander made no progress", c.Label)
 		}
 	}
+	checkHarnessRows(t, "crashsweep", lines)
 }
 
 // TestCrashSweepDeterminism re-runs the same crash-sweep case twice and

@@ -85,16 +85,23 @@ type rig struct {
 	tb *core.Testbed
 }
 
-func newRig(cores int) *rig {
-	return newScaledRig(cores, Scale{Factor: 1})
-}
-
-func newScaledRig(cores int, scale Scale) *rig {
-	tb := core.NewTestbed(core.TestbedConfig{Cores: cores, Params: scale.Params()})
+// newScaledRig builds a testbed with the scale's cost model and the
+// given overload policy (nil = unprotected) and hands it to Observer.
+func newScaledRig(cores int, scale Scale, pol *core.OverloadPolicy) *rig {
+	tb := core.NewTestbed(core.TestbedConfig{Cores: cores, Params: scale.Params(), Overload: pol})
 	if Observer != nil {
 		Observer(tb)
 	}
 	return &rig{tb: tb}
+}
+
+// protection returns the overload policy of a sweep's protected cases
+// (admission control, circuit breaker, brownout), or nil.
+func protection(on bool) *core.OverloadPolicy {
+	if !on {
+		return nil
+	}
+	return &core.OverloadPolicy{RetrySeed: 1}
 }
 
 // runMaster executes fn as the orchestration process and drains the
@@ -145,6 +152,14 @@ func prepare(p *sim.Proc, eng *sim.Engine, fns ...func(pp *sim.Proc)) {
 		g.Go(fmt.Sprintf("prep%d", i), fn)
 	}
 	g.Wait(p)
+}
+
+// prepFile returns a preparation step that writes one file in cont on
+// a fresh thread (see workloads.PrepFile).
+func prepFile(cont *core.Container, path string, size, chunk int64) func(pp *sim.Proc) {
+	return func(pp *sim.Proc) {
+		workloads.PrepFile(vfsapi.Ctx{P: pp, T: cont.NewThread()}, cont.Mount.Default, path, size, chunk)
+	}
 }
 
 // newSyscallLocal wraps the host's local ext4 mount with syscall entry

@@ -103,7 +103,7 @@ func mountFaultStats(m *core.MountResult) metrics.FaultCounters {
 // WAL writer and the cold reader, bystander pool 1 a cached reader,
 // and the schedule is installed relative to the measurement window.
 func RunFaultSweep(c FaultSweepCase, scale Scale) FaultSweepRow {
-	r := newScaledRig(4, scale)
+	r := newScaledRig(4, scale, nil)
 	r.tb.Cluster.SetReplication(c.Replication)
 	row := FaultSweepRow{Label: c.Label, Config: c.Config, Replication: c.Replication}
 
@@ -121,51 +121,15 @@ func RunFaultSweep(c FaultSweepCase, scale Scale) FaultSweepRow {
 	coldSize := scale.PoolMem() + scale.PoolMem()/2
 	const warmSize = 16 << 20
 	const walOp = 64 << 10
-	const readChunk = 256 << 10
 
 	r.runMaster(func(p *sim.Proc) {
 		prepare(p, r.tb.Eng,
 			func(pp *sim.Proc) {
 				ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-				h, err := victim.Mount.Default.Open(ctx, "/wal", vfsapi.CREATE|vfsapi.WRONLY)
-				if err != nil {
-					panic(err)
-				}
-				if err := h.Close(ctx); err != nil {
-					panic(err)
-				}
-				cold, err := victim.Mount.Default.Open(ctx, "/cold", vfsapi.CREATE|vfsapi.WRONLY)
-				if err != nil {
-					panic(err)
-				}
-				for written := int64(0); written < coldSize; written += 1 << 20 {
-					if _, err := cold.Append(ctx, 1<<20); err != nil {
-						panic(err)
-					}
-				}
-				if err := cold.Fsync(ctx); err != nil {
-					panic(err)
-				}
-				if err := cold.Close(ctx); err != nil {
-					panic(err)
-				}
+				workloads.PrepFile(ctx, victim.Mount.Default, "/wal", 0, walOp)
+				workloads.PrepFile(ctx, victim.Mount.Default, "/cold", coldSize, 1<<20)
 			},
-			func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: byst.NewThread()}
-				h, err := byst.Mount.Default.Open(ctx, "/warm", vfsapi.CREATE|vfsapi.WRONLY)
-				if err != nil {
-					panic(err)
-				}
-				if _, err := h.Append(ctx, warmSize); err != nil {
-					panic(err)
-				}
-				if err := h.Fsync(ctx); err != nil {
-					panic(err)
-				}
-				if err := h.Close(ctx); err != nil {
-					panic(err)
-				}
-			},
+			prepFile(byst, "/warm", warmSize, warmSize),
 		)
 
 		clock := clockFor(r.tb.Eng, scale)
@@ -189,131 +153,68 @@ func RunFaultSweep(c FaultSweepCase, scale Scale) FaultSweepRow {
 			faultAbs = clock.From + plan.Windows[0].Start
 		}
 
-		writer := workloads.NewStats()
-		reader := workloads.NewStats()
-		warm := workloads.NewStats()
-		var acked, walSize int64
+		// survival is the victim probes' per-op hook: it snapshots the
+		// fault counters before each op and records the first op after
+		// the fault armed whose success coincided with retry/failover
+		// activity.
 		var firstSurvived time.Duration
-
-		// noteSurvival records the first victim op whose success
-		// coincided with retry/failover activity after the fault armed.
-		noteSurvival := func(before metrics.FaultCounters, t time.Duration) {
-			if faultAbs == 0 || t < faultAbs || firstSurvived != 0 {
-				return
-			}
-			after := mountFaultStats(victim.Mount)
-			if after.Retries > before.Retries || after.Failovers > before.Failovers {
-				firstSurvived = t
+		survival := func() func(time.Duration, error) {
+			before := mountFaultStats(victim.Mount)
+			return func(now time.Duration, err error) {
+				if err != nil || faultAbs == 0 || now < faultAbs || firstSurvived != 0 {
+					return
+				}
+				after := mountFaultStats(victim.Mount)
+				if after.Retries > before.Retries || after.Failovers > before.Failovers {
+					firstSurvived = now
+				}
 			}
 		}
 
 		g := workloads.NewGroup(r.tb.Eng)
-		g.Go("wal-writer", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/wal", vfsapi.WRONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer h.Close(ctx)
-			for !clock.Done() {
-				before := mountFaultStats(victim.Mount)
-				start := pp.Now()
-				_, werr := h.Append(ctx, walOp)
-				if werr == nil {
-					walSize += walOp
-					werr = h.Fsync(ctx)
-				}
-				now := pp.Now()
-				if werr != nil {
-					if clock.Measuring() {
-						writer.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-					continue
-				}
-				// A successful fsync drained every dirty extent of the
-				// WAL, so everything appended so far is acknowledged.
-				acked = walSize
-				noteSurvival(before, now)
-				if clock.Measuring() {
-					writer.Record(walOp, now-start)
-				}
-			}
-		})
-		g.Go("cold-reader", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/cold", vfsapi.RDONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer h.Close(ctx)
-			var off int64
-			for !clock.Done() {
-				before := mountFaultStats(victim.Mount)
-				start := pp.Now()
-				n, rerr := h.Read(ctx, off, readChunk)
-				now := pp.Now()
-				if rerr != nil {
-					if clock.Measuring() {
-						reader.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-					off += readChunk
-				} else {
-					noteSurvival(before, now)
-					if clock.Measuring() {
-						reader.Record(n, now-start)
-					}
-					off += readChunk
-				}
-				if off >= coldSize {
-					off = 0
-				}
-			}
-		})
-		g.Go("bystander", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: byst.NewThread()}
-			h, err := byst.Mount.Default.Open(ctx, "/warm", vfsapi.RDONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer h.Close(ctx)
-			var off int64
-			for !clock.Done() {
-				start := pp.Now()
-				n, rerr := h.Read(ctx, off, 128<<10)
-				now := pp.Now()
-				if rerr != nil {
-					if clock.Measuring() {
-						warm.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-				} else if clock.Measuring() {
-					warm.Record(n, now-start)
-				}
-				off += 128 << 10
-				if off >= warmSize {
-					off = 0
-				}
-			}
-		})
+		writer := &workloads.WALWriter{
+			FS: victim.Mount.Default, Path: "/wal", OpSize: walOp, NewThread: victim.NewThread,
+			Reopen: plan.ClientCrash(), OnOp: survival, Stats: workloads.NewStats(),
+		}
+		writer.Run(g, clock)
+		reader := &workloads.SeqReader{
+			Name: "cold-reader", FS: victim.Mount.Default, Path: "/cold", Size: coldSize, Chunk: 256 << 10,
+			NewThread: victim.NewThread, Reopen: plan.ClientCrash(), OnOp: survival, Stats: workloads.NewStats(),
+		}
+		reader.Run(g, clock)
+		warm := &workloads.SeqReader{
+			Name: "bystander", FS: byst.Mount.Default, Path: "/warm", Size: warmSize, Chunk: 128 << 10,
+			NewThread: byst.NewThread, Reopen: plan.ClientCrash(), Stats: workloads.NewStats(),
+		}
+		warm.Run(g, clock)
 		g.Wait(p)
 
 		window := clock.Window()
-		row.VictimWriteMBps = writer.ThroughputMBps(window)
-		row.VictimReadMBps = reader.ThroughputMBps(window)
-		row.BystanderMBps = warm.ThroughputMBps(window)
-		row.VictimOps = writer.Ops.Ops + reader.Ops.Ops
-		row.VictimErrors = writer.Errors + reader.Errors
+		row.VictimWriteMBps = writer.Stats.ThroughputMBps(window)
+		row.VictimReadMBps = reader.Stats.ThroughputMBps(window)
+		row.BystanderMBps = warm.Stats.ThroughputMBps(window)
+		row.VictimOps = writer.Stats.Ops.Ops + reader.Stats.Ops.Ops
+		row.VictimErrors = writer.Stats.Errors + reader.Stats.Errors
 		if firstSurvived > 0 {
 			row.RecoveryTime = firstSurvived - faultAbs
 		}
 		row.Faults = mountFaultStats(victim.Mount)
-		if loss := acked - r.tb.Cluster.StoredSize(walIno); loss > 0 {
+		if loss := writer.Acked - r.tb.Cluster.StoredSize(walIno); loss > 0 {
 			row.DataLossBytes = loss
 		}
 	})
 	return row
+}
+
+// FaultRowViolations checks the standing faultsweep invariant on one
+// row: no acknowledged data may be lost while the cluster holds a
+// surviving replica.
+func FaultRowViolations(r FaultSweepRow) []string {
+	if r.Replication >= 2 && r.DataLossBytes > 0 {
+		return []string{fmt.Sprintf("faultsweep %s %s r=%d: zero-data-loss violated: %d acked bytes unrecoverable",
+			r.Config, r.Label, r.Replication, r.DataLossBytes)}
+	}
+	return nil
 }
 
 // String renders a row for the harness.

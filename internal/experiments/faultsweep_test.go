@@ -41,6 +41,18 @@ func TestFaultSweepRecovery(t *testing.T) {
 	if row.BystanderMBps == 0 {
 		t.Fatal("bystander made no progress")
 	}
+	checkHarnessRow(t, "faultsweep", 1, row.String())
+}
+
+// TestFaultSweepKernelRow runs the one harness case no other test
+// runs, the kernel client under the combined schedule, and requires
+// its harness_quick.txt row.
+func TestFaultSweepKernelRow(t *testing.T) {
+	cases := FaultSweepCases(QuickScale)
+	if cases[2].Config != core.ConfigK {
+		t.Fatalf("unexpected case under test: %+v", cases[2])
+	}
+	checkHarnessRow(t, "faultsweep", 2, RunFaultSweep(cases[2], QuickScale).String())
 }
 
 // TestFaultSweepUnreplicatedLongCrash checks the bounded-retry error
@@ -62,6 +74,7 @@ func TestFaultSweepUnreplicatedLongCrash(t *testing.T) {
 	if row.DataLossBytes != 0 {
 		t.Fatalf("lost %d acknowledged bytes; want 0 (backfill must recover them)", row.DataLossBytes)
 	}
+	checkHarnessRow(t, "faultsweep", 3, row.String())
 }
 
 // TestFaultSweepDeterminism runs the faulted case twice and requires
@@ -90,4 +103,5 @@ func TestFaultSweepBaselineClean(t *testing.T) {
 	if row.VictimErrors != 0 || row.DataLossBytes != 0 || row.RecoveryTime != 0 {
 		t.Fatalf("baseline not clean: %v", row)
 	}
+	checkHarnessRow(t, "faultsweep", 0, row.String())
 }

@@ -55,7 +55,7 @@ func RunInterference(c InterferenceCase, scale Scale) InterferenceRow {
 	// Enabled cores: two per instance including the neighbour pool,
 	// matching the paper's "twice the number of running instances".
 	cores := 2 * (c.FLSCount + 1)
-	r := newScaledRig(cores, scale)
+	r := newScaledRig(cores, scale, nil)
 	row := InterferenceRow{Label: c.Label()}
 
 	// Fileserver pools and containers on the cluster.
@@ -247,7 +247,7 @@ func Fig6cCases() []SysbenchCase {
 // RunSysbench executes one Fig 6c case: 1 FLS instance next to an
 // optional Sysbench CPU instance.
 func RunSysbench(c SysbenchCase, scale Scale) SysbenchRow {
-	r := newScaledRig(4, scale)
+	r := newScaledRig(4, scale, nil)
 	row := SysbenchRow{Label: c.Label()}
 	_, cont, err := r.flsContainer(0, c.Config, scale)
 	if err != nil {

@@ -66,7 +66,7 @@ func openKV(ctx vfsapi.Ctx, r *rig, cont *core.Container, scale Scale) (*kvstore
 // RunKVScaleout executes one Fig 7a/7b point: `pools` independent
 // container pools, each with a private client and a private store.
 func RunKVScaleout(config core.Configuration, pools int, phase KVPhase, scale Scale) KVRow {
-	r := newScaledRig(2*pools, scale)
+	r := newScaledRig(2*pools, scale, nil)
 	row := KVRow{Config: config, Count: pools}
 	insts := make([]*kvInstance, pools)
 	for i := range insts {
@@ -90,7 +90,7 @@ func RunKVScaleup(config core.Configuration, clones int, phase KVPhase, scale Sc
 	if cores > 64 {
 		cores = 64
 	}
-	r := newScaledRig(cores, scale)
+	r := newScaledRig(cores, scale, nil)
 	row := KVRow{Config: config, Count: clones}
 
 	if err := r.tb.Cluster.ProvisionDir("/images/base/etc"); err != nil {

@@ -43,7 +43,7 @@ func RunStartupScaleup(config core.Configuration, clones int, scale Scale) Start
 	if cores < 4 {
 		cores = 4
 	}
-	r := newScaledRig(cores, scale)
+	r := newScaledRig(cores, scale, nil)
 	row := StartupRow{Config: config, Containers: clones}
 
 	// Shared webserver image on the cluster.
@@ -129,7 +129,7 @@ func RunFileIOScaleup(config core.Configuration, clones int, append bool, scale 
 	if cores > 64 {
 		cores = 64
 	}
-	r := newScaledRig(cores, scale)
+	r := newScaledRig(cores, scale, nil)
 	row := FileIORow{Config: config, Containers: clones}
 
 	// The shared lower branch holds the 2 GB target file (scaled).

@@ -29,7 +29,7 @@ type ScaleoutRow struct {
 // each with a private client of the given configuration, running
 // Seqwrite (write=true) or cached Seqread (write=false).
 func RunSeqIOScaleout(config core.Configuration, pools int, write bool, scale Scale) ScaleoutRow {
-	r := newScaledRig(2*pools, scale)
+	r := newScaledRig(2*pools, scale, nil)
 	row := ScaleoutRow{Config: config, Pools: pools}
 
 	type inst struct {
@@ -105,7 +105,7 @@ func RunSeqIOScaleout(config core.Configuration, pools int, write bool, scale Sc
 // RunFileserverScaleout executes one Fig 10 point: `pools` pools each
 // running a Fileserver instance over a private client.
 func RunFileserverScaleout(config core.Configuration, pools int, scale Scale) ScaleoutRow {
-	r := newScaledRig(2*pools, scale)
+	r := newScaledRig(2*pools, scale, nil)
 	row := ScaleoutRow{Config: config, Pools: pools}
 
 	type inst struct {

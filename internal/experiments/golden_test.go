@@ -28,7 +28,7 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 		end   time.Duration
 	}
 	run := func() outcome {
-		r := newScaledRig(4, scale)
+		r := newScaledRig(4, scale, nil)
 		var o outcome
 		r.tb.Eng.SetTracer(func(ev sim.TraceEvent) { o.trace = append(o.trace, ev) })
 		_, cont, err := r.flsContainer(0, core.ConfigD, scale)

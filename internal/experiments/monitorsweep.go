@@ -6,10 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/vfsapi"
 	"repro/internal/workloads"
 )
 
@@ -143,7 +141,7 @@ func monitorConfig(scale Scale, slos []telemetry.SLO) telemetry.Config {
 func calibrateVictim(c MonitorCase, scale Scale) (time.Duration, uint64) {
 	tb, victim, _ := monitorTestbed(c, scale, nil)
 	stats := workloads.NewStats()
-	runMonitorLoad(tb, victim, nil, nil, scale, stats, nil)
+	runMonitorLoad(tb, nil, scale, victim, stats, nil, nil, 0)
 	return stats.Latency.Quantile(0.99), stats.Ops.Ops / monFastFrac
 }
 
@@ -153,129 +151,95 @@ func calibrateVictim(c MonitorCase, scale Scale) (time.Duration, uint64) {
 // attached BEFORE the pools are created, so every mount gets the
 // traced facade that feeds the monitor.
 func monitorTestbed(c MonitorCase, scale Scale, mon *telemetry.Monitor) (*core.Testbed, *core.Container, *core.Container) {
-	var pol *core.OverloadPolicy
-	if c.Protected {
-		pol = &core.OverloadPolicy{RetrySeed: 1}
-	}
-	tb := core.NewTestbed(core.TestbedConfig{Cores: 4, Params: scale.Params(), Overload: pol})
+	r := newScaledRig(4, scale, protection(c.Protected))
 	if mon != nil {
-		tb.AttachObserver(obs.New(obs.Config{Clock: tb.Eng.Now}))
-		tb.AttachMonitor(mon)
+		ensureObs(r.tb)
+		r.tb.AttachMonitor(mon)
 	}
-	r := &rig{tb: tb}
 	_, victim, err := r.flsContainer(0, c.Config, scale)
 	if err != nil {
 		panic(err)
 	}
-	_, agg, err := r.flsContainer(1, c.Config, scale)
+	_, other, err := r.flsContainer(1, c.Config, scale)
 	if err != nil {
 		panic(err)
 	}
-	return tb, victim, agg
-}
-
-// monitorBurst describes the open-loop disturbance of an overload
-// case; From/Stop are resolved against the measurement window once
-// preparation has finished.
-type monitorBurst struct {
-	Rate       float64
-	From, Stop time.Duration // absolute virtual times
-	Agg        *core.Container
+	return r.tb, victim, other
 }
 
 // runMonitorLoad drives one monitored run: the victim reads a cold
-// dataset closed-loop for the whole measurement; byst, when non-nil,
-// runs a warm reader in the other pool (the bystander whose alerts
-// measure blast radius); crashPlan, when non-nil, is installed at
-// measurement start. SLO counting on mon is armed at measurement start
-// so cache-cold warmup latencies stay out of the ledger. The victim's
+// dataset closed-loop for the whole measurement. The disturbance is
+// optional. With crash set, the plan is installed at measurement start
+// and other runs a warm reader (the bystander whose alerts measure
+// blast radius). With burstRate set, other is the aggressor: it offers
+// burstRate open-loop inside [monFaultStart, monFaultEnd] of the
+// measurement window. With neither, the run is the unloaded
+// calibration. SLO counting on mon is armed at measurement start so
+// cache-cold warmup latencies stay out of the ledger. The victim's
 // measured latencies land in vicStats; the return value is the
 // absolute virtual time the measurement ended.
-func runMonitorLoad(tb *core.Testbed, victim, byst *core.Container, mon *telemetry.Monitor, scale Scale, vicStats *workloads.Stats, crashPlan *faults.Plan) time.Duration {
+func runMonitorLoad(tb *core.Testbed, mon *telemetry.Monitor, scale Scale, victim *core.Container, vicStats *workloads.Stats,
+	other *core.Container, crash *faults.Plan, burstRate float64) time.Duration {
 	r := &rig{tb: tb}
 	coldSize := scale.PoolMem() + scale.PoolMem()/2
 	const readChunk = 128 << 10
 	const warmSize = 16 << 20
+	reopen := crash != nil && crash.ClientCrash()
 	var measureEnd time.Duration
 
 	r.runMaster(func(p *sim.Proc) {
-		preps := []func(pp *sim.Proc){func(pp *sim.Proc) {
-			prepColdFile(pp, victim, "/cold", coldSize)
-		}}
-		if byst != nil {
-			preps = append(preps, func(pp *sim.Proc) {
-				// Written through the same path as the cold file; at
-				// 16MB it stays resident in the bystander's cache.
-				prepColdFile(pp, byst, "/warm", warmSize)
-			})
+		preps := []func(pp *sim.Proc){prepFile(victim, "/cold", coldSize, 1<<20)}
+		switch {
+		case crash != nil:
+			// At 16MB the bystander's file stays resident in its cache.
+			preps = append(preps, prepFile(other, "/warm", warmSize, 1<<20))
+		case burstRate > 0:
+			preps = append(preps, prepFile(other, "/cold", coldSize, 1<<20))
 		}
 		prepare(p, r.tb.Eng, preps...)
 
 		clock := clockFor(r.tb.Eng, scale)
 		measureEnd = clock.Stop
 		mon.ArmSLOs(clock.From, clock.Stop)
-		if crashPlan != nil {
-			if _, err := faults.InstallWithTargets(r.tb.Eng, r.tb.Cluster, r.tb, *crashPlan, clock.From); err != nil {
+		if crash != nil {
+			if _, err := faults.InstallWithTargets(r.tb.Eng, r.tb.Cluster, r.tb, *crash, clock.From); err != nil {
 				panic(err)
 			}
 		}
 
 		g := workloads.NewGroup(r.tb.Eng)
-		g.Go("victim-reader", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/cold", vfsapi.RDONLY)
-			if err != nil {
-				panic(err)
+		probe := &workloads.SeqReader{
+			Name: "victim-reader", FS: victim.Mount.Default, Path: "/cold", Size: coldSize, Chunk: readChunk,
+			NewThread: victim.NewThread, Reopen: reopen, Stats: vicStats,
+		}
+		probe.Run(g, clock)
+		switch {
+		case crash != nil:
+			byst := &workloads.SeqReader{
+				Name: "bystander-reader", FS: other.Mount.Default, Path: "/warm", Size: warmSize, Chunk: readChunk,
+				NewThread: other.NewThread, Reopen: reopen,
 			}
-			defer func() { h.Close(ctx) }()
-			var off int64
-			for !clock.Done() {
-				start := pp.Now()
-				n, rerr := h.Read(ctx, off, readChunk)
-				now := pp.Now()
-				if rerr != nil {
-					if clock.Measuring() {
-						vicStats.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-					// A crash invalidates the handle; reopen once the
-					// client is back.
-					if nh, oerr := victim.Mount.Default.Open(ctx, "/cold", vfsapi.RDONLY); oerr == nil {
-						h.Close(ctx)
-						h = nh
-					}
-				} else if clock.Measuring() {
-					vicStats.Record(n, now-start)
-				}
-				off += readChunk
-				if off >= coldSize {
-					off = 0
-				}
+			byst.Run(g, clock)
+		case burstRate > 0:
+			burst := workloads.Clock{
+				Eng:  r.tb.Eng,
+				From: clock.From + time.Duration(float64(scale.Duration)*monFaultStart),
+				Stop: clock.From + time.Duration(float64(scale.Duration)*monFaultEnd),
 			}
-		})
-		if byst != nil {
-			g.Go("bystander-reader", func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: byst.NewThread()}
-				h, err := byst.Mount.Default.Open(ctx, "/warm", vfsapi.RDONLY)
-				if err != nil {
-					panic(err)
+			g.Go("burst-starter", func(pp *sim.Proc) {
+				if wait := burst.From - pp.Now(); wait > 0 {
+					pp.Sleep(wait)
 				}
-				defer func() { h.Close(ctx) }()
-				var off int64
-				for !clock.Done() {
-					_, rerr := h.Read(ctx, off, readChunk)
-					if rerr != nil {
-						pp.Sleep(time.Millisecond)
-						if nh, oerr := byst.Mount.Default.Open(ctx, "/warm", vfsapi.RDONLY); oerr == nil {
-							h.Close(ctx)
-							h = nh
-						}
-					}
-					off += readChunk
-					if off >= warmSize {
-						off = 0
-					}
+				ol := &workloads.OpenLoop{
+					FS:        other.Mount.Default,
+					Path:      "/cold",
+					FileSize:  coldSize,
+					OpSize:    overloadOpSize,
+					Rate:      burstRate,
+					Seed:      42,
+					NewThread: other.NewThread,
 				}
+				ol.Run(g, burst)
 			})
 		}
 		g.Wait(p)
@@ -283,33 +247,13 @@ func runMonitorLoad(tb *core.Testbed, victim, byst *core.Container, mon *telemet
 	return measureEnd
 }
 
-// prepColdFile writes and fsyncs a cache-overflowing dataset.
-func prepColdFile(pp *sim.Proc, cont *core.Container, path string, size int64) {
-	ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
-	h, err := cont.Mount.Default.Open(ctx, path, vfsapi.CREATE|vfsapi.WRONLY)
-	if err != nil {
-		panic(err)
-	}
-	for written := int64(0); written < size; written += 1 << 20 {
-		if _, err := h.Append(ctx, 1<<20); err != nil {
-			panic(err)
-		}
-	}
-	if err := h.Fsync(ctx); err != nil {
-		panic(err)
-	}
-	if err := h.Close(ctx); err != nil {
-		panic(err)
-	}
-}
-
 // RunMonitorCase runs one monitored point. Overload cases first run an
 // unloaded calibration pass to set the victim's latency SLO target,
 // then the monitored run with the burst; crash cases monitor an
 // error-rate SLO (a crash is an availability event, not a latency
-// one). The case manages its own recorder and monitor — the sweep is
-// about the monitor, so it is always attached regardless of the
-// harness's -obs flags.
+// one). The case manages its own monitor — the sweep is about the
+// monitor, so it is always attached regardless of the harness's -obs
+// flags.
 func RunMonitorCase(c MonitorCase, scale Scale) MonitorRow {
 	row := MonitorRow{Label: c.Label, Config: c.Config, Protected: c.Protected, Fault: c.Fault}
 
@@ -342,21 +286,15 @@ func RunMonitorCase(c MonitorCase, scale Scale) MonitorRow {
 	// interval and arms it: without this, preparation windows with no
 	// reads would trip the throughput floor before the workload exists.
 	mon.ArmSLOs(time.Duration(1<<62), 0)
-	tb, victim, agg := monitorTestbed(c, scale, mon)
+	tb, victim, other := monitorTestbed(c, scale, mon)
 
 	vicStats := workloads.NewStats()
 	switch c.Fault {
 	case "overload":
-		b := &monitorBurst{Rate: overloadBaseRate * monBurstMult, Agg: agg}
-		row.MeasureEnd = runMonitorLoadWithBurstWindow(tb, victim, b, mon, scale, vicStats)
+		row.MeasureEnd = runMonitorLoad(tb, mon, scale, victim, vicStats, other, nil, overloadBaseRate*monBurstMult)
 	case "crash":
-		plan := faults.Plan{Windows: []faults.Window{{
-			Kind:   c.Kind,
-			Tenant: monCrashTenant(c.Kind),
-			Start:  time.Duration(float64(scale.Duration) * monFaultStart),
-			End:    time.Duration(float64(scale.Duration) * monFaultEnd),
-		}}}
-		row.MeasureEnd = runMonitorLoad(tb, victim, agg, mon, scale, vicStats, &plan)
+		plan := crashPlan(c.Kind, scale, monFaultStart, monFaultEnd)
+		row.MeasureEnd = runMonitorLoad(tb, mon, scale, victim, vicStats, other, &plan, 0)
 	default:
 		panic("monitorsweep: unknown fault " + c.Fault)
 	}
@@ -367,82 +305,6 @@ func RunMonitorCase(c MonitorCase, scale Scale) MonitorRow {
 	row.Windows = len(mon.Windows())
 	summarizeAlerts(&row)
 	return row
-}
-
-// runMonitorLoadWithBurstWindow is runMonitorLoad plus the open-loop
-// burst: the aggressor offers b.Rate inside [monFaultStart,
-// monFaultEnd] of the measurement window, resolved after preparation.
-// Returns the absolute virtual time the measurement ended.
-func runMonitorLoadWithBurstWindow(tb *core.Testbed, victim *core.Container, b *monitorBurst, mon *telemetry.Monitor, scale Scale, vicStats *workloads.Stats) time.Duration {
-	r := &rig{tb: tb}
-	coldSize := scale.PoolMem() + scale.PoolMem()/2
-	const readChunk = 128 << 10
-	var measureEnd time.Duration
-
-	r.runMaster(func(p *sim.Proc) {
-		prepare(p, r.tb.Eng,
-			func(pp *sim.Proc) { prepColdFile(pp, victim, "/cold", coldSize) },
-			func(pp *sim.Proc) { prepColdFile(pp, b.Agg, "/cold", coldSize) },
-		)
-
-		clock := clockFor(r.tb.Eng, scale)
-		measureEnd = clock.Stop
-		mon.ArmSLOs(clock.From, clock.Stop)
-		b.From = clock.From + time.Duration(float64(scale.Duration)*monFaultStart)
-		b.Stop = clock.From + time.Duration(float64(scale.Duration)*monFaultEnd)
-
-		g := workloads.NewGroup(r.tb.Eng)
-		g.Go("victim-reader", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/cold", vfsapi.RDONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer func() { h.Close(ctx) }()
-			var off int64
-			for !clock.Done() {
-				start := pp.Now()
-				n, rerr := h.Read(ctx, off, readChunk)
-				now := pp.Now()
-				if rerr != nil {
-					if clock.Measuring() {
-						vicStats.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-				} else if clock.Measuring() {
-					vicStats.Record(n, now-start)
-				}
-				off += readChunk
-				if off >= coldSize {
-					off = 0
-				}
-			}
-		})
-		g.Go("burst-starter", func(pp *sim.Proc) {
-			if wait := b.From - pp.Now(); wait > 0 {
-				pp.Sleep(wait)
-			}
-			ol := &workloads.OpenLoop{
-				FS:        b.Agg.Mount.Default,
-				Path:      "/cold",
-				FileSize:  coldSize,
-				OpSize:    overloadOpSize,
-				Rate:      b.Rate,
-				Seed:      42,
-				NewThread: b.Agg.NewThread,
-			}
-			ol.Run(g, workloads.Clock{Eng: r.tb.Eng, From: b.From, Stop: b.Stop})
-		})
-		g.Wait(p)
-	})
-	return measureEnd
-}
-
-func monCrashTenant(k faults.Kind) string {
-	if k == faults.HostCrash {
-		return ""
-	}
-	return "fls0"
 }
 
 // summarizeAlerts folds the ledger into the row's victim/bystander

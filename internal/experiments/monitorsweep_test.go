@@ -53,7 +53,8 @@ func TestMonitorSweepDeterministic(t *testing.T) {
 // checks the acceptance story: the admission-protected Danaus client
 // fires AND clears its victim alert around the disturbance, while the
 // unprotected kernel client is still in violation when the measurement
-// window closes.
+// window closes. The rows and alert ledgers must also reproduce the
+// monitorsweep section of harness_quick.txt.
 func TestMonitorSweepAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -86,4 +87,19 @@ func TestMonitorSweepAcceptance(t *testing.T) {
 		t.Errorf("K overload: want sustained violation at measurement end, got fired=%d cleared=%d activeEnd=%v",
 			kOver.VictimFired, kOver.VictimCleared, kOver.VictimActiveEnd)
 	}
+
+	// Rendered as danausbench prints them: each row, then its ledger
+	// with drain events after MeasureEnd starred.
+	var lines []string
+	for _, r := range rows {
+		lines = append(lines, "  "+r.String())
+		for _, e := range r.Alerts {
+			mark := "  "
+			if e.T > r.MeasureEnd {
+				mark = " *"
+			}
+			lines = append(lines, "   "+mark+" "+e.String())
+		}
+	}
+	checkHarnessRows(t, "monitorsweep", lines)
 }

@@ -107,15 +107,7 @@ func RunOverloadSweep(scale Scale) []OverloadRow {
 // load. Both pools mount the case's configuration; the protection
 // policy applies testbed-wide when the case is protected.
 func RunOverloadCase(c OverloadCase, scale Scale) OverloadRow {
-	var pol *core.OverloadPolicy
-	if c.Protected {
-		pol = &core.OverloadPolicy{RetrySeed: 1}
-	}
-	tb := core.NewTestbed(core.TestbedConfig{Cores: 4, Params: scale.Params(), Overload: pol})
-	if Observer != nil {
-		Observer(tb)
-	}
-	r := &rig{tb: tb}
+	r := newScaledRig(4, scale, protection(c.Protected))
 
 	row := OverloadRow{
 		Label: c.Label, Config: c.Config, Protected: c.Protected,
@@ -135,62 +127,18 @@ func RunOverloadCase(c OverloadCase, scale Scale) OverloadRow {
 	// Both datasets overflow their pool's cache so reads keep hitting
 	// the shared backend — the resource the aggressor overloads.
 	coldSize := scale.PoolMem() + scale.PoolMem()/2
-	const readChunk = 128 << 10
 
 	r.runMaster(func(p *sim.Proc) {
-		prepCold := func(cont *core.Container) func(pp *sim.Proc) {
-			return func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
-				h, err := cont.Mount.Default.Open(ctx, "/cold", vfsapi.CREATE|vfsapi.WRONLY)
-				if err != nil {
-					panic(err)
-				}
-				for written := int64(0); written < coldSize; written += 1 << 20 {
-					if _, err := h.Append(ctx, 1<<20); err != nil {
-						panic(err)
-					}
-				}
-				if err := h.Fsync(ctx); err != nil {
-					panic(err)
-				}
-				if err := h.Close(ctx); err != nil {
-					panic(err)
-				}
-			}
-		}
-		prepare(p, r.tb.Eng, prepCold(victim), prepCold(agg))
+		prepare(p, r.tb.Eng, prepFile(victim, "/cold", coldSize, 1<<20), prepFile(agg, "/cold", coldSize, 1<<20))
 
 		clock := clockFor(r.tb.Eng, scale)
-		vicStats := workloads.NewStats()
-		aggStats := workloads.NewStats()
 
 		g := workloads.NewGroup(r.tb.Eng)
-		g.Go("victim-reader", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/cold", vfsapi.RDONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer h.Close(ctx)
-			var off int64
-			for !clock.Done() {
-				start := pp.Now()
-				n, rerr := h.Read(ctx, off, readChunk)
-				now := pp.Now()
-				if rerr != nil {
-					if clock.Measuring() {
-						vicStats.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-				} else if clock.Measuring() {
-					vicStats.Record(n, now-start)
-				}
-				off += readChunk
-				if off >= coldSize {
-					off = 0
-				}
-			}
-		})
+		probe := &workloads.SeqReader{
+			Name: "victim-reader", FS: victim.Mount.Default, Path: "/cold", Size: coldSize, Chunk: 128 << 10,
+			NewThread: victim.NewThread, Stats: workloads.NewStats(),
+		}
+		probe.Run(g, clock)
 
 		var ol *workloads.OpenLoop
 		if c.Multiplier > 0 {
@@ -202,15 +150,15 @@ func RunOverloadCase(c OverloadCase, scale Scale) OverloadRow {
 				Rate:      row.OfferedRate,
 				Seed:      42,
 				NewThread: agg.NewThread,
-				Stats:     aggStats,
+				Stats:     workloads.NewStats(),
 			}
 			ol.Run(g, clock)
 		}
 		g.Wait(p)
 
 		window := clock.Window()
-		row.VictimP99 = vicStats.Latency.Quantile(0.99)
-		row.VictimMBps = vicStats.ThroughputMBps(window)
+		row.VictimP99 = probe.Stats.Latency.Quantile(0.99)
+		row.VictimMBps = probe.Stats.ThroughputMBps(window)
 		if ol != nil {
 			row.Offered = ol.Offered
 			row.Completed = ol.Completed
@@ -250,17 +198,6 @@ func OverloadRowViolations(r OverloadRow) []string {
 			r.Label, r.Multiplier, a.Offered, a.Admitted, a.Shed, a.InFlight))
 	}
 	return v
-}
-
-// FaultRowViolations checks the standing faultsweep invariant on one
-// row: no acknowledged data may be lost while the cluster holds a
-// surviving replica.
-func FaultRowViolations(r FaultSweepRow) []string {
-	if r.Replication >= 2 && r.DataLossBytes > 0 {
-		return []string{fmt.Sprintf("faultsweep %s %s r=%d: zero-data-loss violated: %d acked bytes unrecoverable",
-			r.Config, r.Label, r.Replication, r.DataLossBytes)}
-	}
-	return nil
 }
 
 // String renders a row for the harness.

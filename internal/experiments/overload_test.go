@@ -28,8 +28,9 @@ func TestOverloadCaseDeterminism(t *testing.T) {
 // TestOverloadSweepQuick runs the full sweep at quick scale and checks
 // the headline acceptance criteria: the protected client holds victim
 // p99 within 2x of its unloaded baseline at 4x offered load, sheds a
-// meaningful fraction there, and every row passes the overload
-// invariants.
+// meaningful fraction there, every row passes the overload invariants,
+// and the rows reproduce the overloadsweep section of
+// harness_quick.txt.
 func TestOverloadSweepQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload sweep is slow")
@@ -38,8 +39,10 @@ func TestOverloadSweepQuick(t *testing.T) {
 	if len(rows) != 8 {
 		t.Fatalf("want 8 rows, got %d", len(rows))
 	}
+	var lines []string
 	for _, r := range rows {
 		t.Logf("%s", r)
+		lines = append(lines, "  "+r.String())
 		for _, v := range OverloadRowViolations(r) {
 			t.Errorf("invariant: %s", v)
 		}
@@ -55,4 +58,5 @@ func TestOverloadSweepQuick(t *testing.T) {
 			}
 		}
 	}
+	checkHarnessRows(t, "overloadsweep", lines)
 }

@@ -168,12 +168,9 @@ func prepTraceFiles(cont *core.Container, size int64) func(pp *sim.Proc) {
 // the trace holds exactly the workload's ops with issue times relative
 // to capture start.
 func RecordTraceBaseline(scale Scale) (*trace.Trace, TraceRow) {
-	tb := core.NewTestbed(core.TestbedConfig{Cores: 4, Params: scale.Params()})
-	if Observer != nil {
-		Observer(tb)
-	}
+	r := newScaledRig(4, scale, nil)
+	tb := r.tb
 	rec := ensureObs(tb)
-	r := &rig{tb: tb}
 	row := TraceRow{
 		Label: "rec", Config: core.ConfigD, Baseline: true,
 		ScheduleMatch: true, SequenceMatch: true,
@@ -250,16 +247,9 @@ func RecordTraceBaseline(scale Scale) (*trace.Trace, TraceRow) {
 // configuration on a fresh testbed with an identically prepared
 // fileset, and reports tail latency and blame against the recording.
 func ReplayTraceUnder(t *trace.Trace, c TraceCase, scale Scale) (*trace.Trace, TraceRow) {
-	var pol *core.OverloadPolicy
-	if c.Admission {
-		pol = &core.OverloadPolicy{RetrySeed: 1}
-	}
-	tb := core.NewTestbed(core.TestbedConfig{Cores: 4, Params: scale.Params(), Overload: pol})
-	if Observer != nil {
-		Observer(tb)
-	}
+	r := newScaledRig(4, scale, protection(c.Admission))
+	tb := r.tb
 	rec := ensureObs(tb)
-	r := &rig{tb: tb}
 	row := TraceRow{Label: c.Label, Config: c.Config, Admission: c.Admission, Identity: c.Identity}
 
 	bindings := map[string]trace.Binding{}

@@ -152,6 +152,17 @@ type Plan struct {
 // Empty reports whether the plan injects nothing.
 func (p Plan) Empty() bool { return len(p.Windows) == 0 }
 
+// ClientCrash reports whether any window of the plan is a client-side
+// crash, after which open handles stay invalid until reopened.
+func (p Plan) ClientCrash() bool {
+	for _, w := range p.Windows {
+		if w.Kind.ClientCrash() {
+			return true
+		}
+	}
+	return false
+}
+
 // String renders the plan in Parse syntax.
 func (p Plan) String() string {
 	parts := make([]string, len(p.Windows))

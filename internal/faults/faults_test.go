@@ -51,6 +51,25 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// A plan needs crash-aware clients exactly when one of its windows is
+// a client crash; backend faults alone never invalidate handles.
+func TestPlanClientCrash(t *testing.T) {
+	for sched, want := range map[string]bool{
+		"":                                       false,
+		"osd-crash:0:1ms-2ms;mds-stall:1ms-2ms":  false,
+		"osd-crash:0:1ms-2ms;host-crash:3ms-4ms": true,
+		"fuse-crash:t0:1ms-2ms":                  true,
+	} {
+		p, err := Parse(sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.ClientCrash(); got != want {
+			t.Errorf("Parse(%q).ClientCrash() = %v, want %v", sched, got, want)
+		}
+	}
+}
+
 // Round trip of the three client-crash kinds: parse -> String ->
 // reparse must be the identity, tenants land on the right field, and
 // the host kind carries none.

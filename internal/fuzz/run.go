@@ -149,7 +149,8 @@ func (sc Scenario) scale() experiments.Scale {
 
 // victimFaultStats sums fault counters over every distinct client and
 // kernel Ceph store mounted in the pool. Shared clients and shared
-// kernel mounts (scaleup clones) are counted once.
+// kernel mounts (scaleup clones) are counted once. It stays independent
+// of core's registry harvest on purpose: fault-accounting compares the two.
 func victimFaultStats(pool *core.Pool) metrics.FaultCounters {
 	var total metrics.FaultCounters
 	seen := map[interface{}]bool{}
@@ -168,21 +169,80 @@ func victimFaultStats(pool *core.Pool) metrics.FaultCounters {
 	return total
 }
 
+// scenarioTestbed builds the bare testbed a scenario runs on: two
+// cores per pool, the scale's cost model, the admission policy when
+// the scenario bounds queues, and its replication level. Observers
+// attach to it before scenarioPools creates any pool.
+func scenarioTestbed(sc Scenario) *core.Testbed {
+	var pol *core.OverloadPolicy
+	if sc.AdmitQueue > 0 {
+		pol = &core.OverloadPolicy{QueueCap: sc.AdmitQueue, RetrySeed: uint64(sc.Seed)}
+	}
+	tb := core.NewTestbed(core.TestbedConfig{Cores: 2 * (1 + len(sc.Tenants)), Params: sc.scale().Params(), Overload: pol})
+	tb.Cluster.SetReplication(sc.Replication)
+	return tb
+}
+
+// scenarioPools creates the victim pool and container (plus its
+// scaleup clone when SharedMount is set) and, with tenants set, one
+// pool and container per co-tenant, in tenant order. Without tenants
+// the host stays identically sized: the isolation baseline.
+func scenarioPools(tb *core.Testbed, sc Scenario, tenants bool) (*core.Pool, *core.Container, []*core.Container) {
+	poolMem := sc.scale().PoolMem()
+	var cacheBytes int64
+	if sc.CacheFrac > 0 {
+		cacheBytes = poolMem / int64(sc.CacheFrac)
+	}
+	if err := tb.Cluster.ProvisionDir("/containers/victim"); err != nil {
+		panic(err)
+	}
+	victimPool := tb.NewPool("victim", cpu.MaskRange(0, 2), poolMem)
+	victim, err := victimPool.NewContainer("victim", core.MountSpec{
+		Config: sc.Config, UpperDir: "/containers/victim", CacheBytes: cacheBytes,
+	})
+	if err != nil {
+		panic(err)
+	}
+	if sc.SharedMount {
+		// A scaleup clone: same image, same client/kernel mount. It
+		// runs no workload of its own; its presence exercises the
+		// shared-mount accounting paths.
+		if _, err := victimPool.NewContainer("victim-clone", core.MountSpec{
+			Config: sc.Config, UpperDir: "/containers/victim", CacheBytes: cacheBytes,
+			SharedClient: victim.Mount.Client, SharedKernelMount: victim.Mount.KernelMount,
+		}); err != nil {
+			panic(err)
+		}
+	}
+	if !tenants {
+		return victimPool, victim, nil
+	}
+	conts := make([]*core.Container, len(sc.Tenants))
+	for i := range sc.Tenants {
+		dir := fmt.Sprintf("/containers/t%d", i)
+		if err := tb.Cluster.ProvisionDir(dir); err != nil {
+			panic(err)
+		}
+		pool := tb.NewPool(fmt.Sprintf("t%d", i), cpu.MaskRange(2+2*i, 4+2*i), poolMem)
+		conts[i], err = pool.NewContainer(fmt.Sprintf("t%d", i), core.MountSpec{
+			Config: sc.Config, UpperDir: dir, CacheBytes: cacheBytes,
+		})
+		if err != nil {
+			panic(err)
+		}
+	}
+	return victimPool, victim, conts
+}
+
 // RunScenario executes one scenario on a fresh testbed and collects
 // the checker inputs. With solo set, the co-tenant workloads (and
 // their pools) are omitted while the host stays identically sized —
 // the isolation baseline the victim is compared against.
 func RunScenario(sc Scenario, solo bool) *Result {
 	scale := sc.scale()
-	cores := 2 * (1 + len(sc.Tenants))
-	var pol *core.OverloadPolicy
-	if sc.AdmitQueue > 0 {
-		pol = &core.OverloadPolicy{QueueCap: sc.AdmitQueue, RetrySeed: uint64(sc.Seed)}
-	}
-	tb := core.NewTestbed(core.TestbedConfig{Cores: cores, Params: scale.Params(), Overload: pol})
+	tb := scenarioTestbed(sc)
 	rec := obs.New(obs.Config{Clock: tb.Eng.Now})
 	tb.AttachObserver(rec)
-	tb.Cluster.SetReplication(sc.Replication)
 
 	var mon *telemetry.Monitor
 	if sc.Telemetry {
@@ -208,66 +268,11 @@ func RunScenario(sc Scenario, solo bool) *Result {
 	}
 
 	res := &Result{}
-	poolMem := scale.PoolMem()
-	var cacheBytes int64
-	if sc.CacheFrac > 0 {
-		cacheBytes = poolMem / int64(sc.CacheFrac)
-	}
-
-	if err := tb.Cluster.ProvisionDir("/containers/victim"); err != nil {
-		panic(err)
-	}
-	victimPool := tb.NewPool("victim", cpu.MaskRange(0, 2), poolMem)
-	victim, err := victimPool.NewContainer("victim", core.MountSpec{
-		Config: sc.Config, UpperDir: "/containers/victim", CacheBytes: cacheBytes,
-	})
-	if err != nil {
-		panic(err)
-	}
-	if sc.SharedMount {
-		// A scaleup clone: same image, same client/kernel mount. It
-		// runs no workload of its own; its presence exercises the
-		// shared-mount accounting paths.
-		if _, err := victimPool.NewContainer("victim-clone", core.MountSpec{
-			Config: sc.Config, UpperDir: "/containers/victim", CacheBytes: cacheBytes,
-			SharedClient: victim.Mount.Client, SharedKernelMount: victim.Mount.KernelMount,
-		}); err != nil {
-			panic(err)
-		}
-	}
-
-	type tenantInst struct {
-		spec Tenant
-		cont *core.Container
-		fs   vfsapi.FileSystem
-	}
-	var tenants []tenantInst
-	if !solo {
-		for i, t := range sc.Tenants {
-			dir := fmt.Sprintf("/containers/t%d", i)
-			if err := tb.Cluster.ProvisionDir(dir); err != nil {
-				panic(err)
-			}
-			pool := tb.NewPool(fmt.Sprintf("t%d", i), cpu.MaskRange(2+2*i, 4+2*i), poolMem)
-			cont, err := pool.NewContainer(fmt.Sprintf("t%d", i), core.MountSpec{
-				Config: sc.Config, UpperDir: dir, CacheBytes: cacheBytes,
-			})
-			if err != nil {
-				panic(err)
-			}
-			inst := tenantInst{spec: t, cont: cont, fs: cont.Mount.Default}
-			if t.Workload == "randio" {
-				// The paper's noisy neighbour runs on the local ext4
-				// array through the shared kernel.
-				inst.fs = kern.NewSyscalls(tb.Kernel, tb.LocalFS)
-			}
-			tenants = append(tenants, inst)
-		}
-	}
+	victimPool, victim, tenants := scenarioPools(tb, sc, !solo)
 
 	// The cold file overflows every cache tier so victim reads keep
 	// hitting the backend through any fault window.
-	coldSize := poolMem + poolMem/2
+	coldSize := scale.PoolMem() + scale.PoolMem()/2
 	const walOp = 64 << 10
 	const readChunk = 256 << 10
 
@@ -277,28 +282,8 @@ func RunScenario(sc Scenario, solo bool) *Result {
 		g := workloads.NewGroup(tb.Eng)
 		g.Go("prep-victim", func(pp *sim.Proc) {
 			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/wal", vfsapi.CREATE|vfsapi.WRONLY)
-			if err != nil {
-				panic(err)
-			}
-			if err := h.Close(ctx); err != nil {
-				panic(err)
-			}
-			cold, err := victim.Mount.Default.Open(ctx, "/cold", vfsapi.CREATE|vfsapi.WRONLY)
-			if err != nil {
-				panic(err)
-			}
-			for written := int64(0); written < coldSize; written += 1 << 20 {
-				if _, err := cold.Append(ctx, 1<<20); err != nil {
-					panic(err)
-				}
-			}
-			if err := cold.Fsync(ctx); err != nil {
-				panic(err)
-			}
-			if err := cold.Close(ctx); err != nil {
-				panic(err)
-			}
+			workloads.PrepFile(ctx, victim.Mount.Default, "/wal", 0, walOp)
+			workloads.PrepFile(ctx, victim.Mount.Default, "/cold", coldSize, 1<<20)
 		})
 
 		type runner interface {
@@ -306,17 +291,22 @@ func RunScenario(sc Scenario, solo bool) *Result {
 		}
 		runners := make([]runner, len(tenants))
 		dbs := make([]*kvstore.DB, len(tenants))
-		for i := range tenants {
-			i := i
-			in := tenants[i]
-			seed := workloads.StreamSeed(sc.Seed, in.spec.Workload, i)
+		for i, cont := range tenants {
+			i, cont, spec := i, cont, sc.Tenants[i]
+			fs := cont.Mount.Default
+			if spec.Workload == "randio" {
+				// The paper's noisy neighbour runs on the local ext4
+				// array through the shared kernel.
+				fs = kern.NewSyscalls(tb.Kernel, tb.LocalFS)
+			}
+			seed := workloads.StreamSeed(sc.Seed, spec.Workload, i)
 			g.Go(fmt.Sprintf("prep-t%d", i), func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: in.cont.NewThread()}
-				switch in.spec.Workload {
+				ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
+				switch spec.Workload {
 				case "fileserver":
 					w := &workloads.Fileserver{
-						FS: in.fs, Dir: "/flsdata", NewThread: in.cont.NewThread,
-						Seed: seed, Threads: in.spec.Threads,
+						FS: fs, Dir: "/flsdata", NewThread: cont.NewThread,
+						Seed: seed, Threads: spec.Threads,
 						Files: 12, MeanFileSize: 256 << 10,
 					}
 					w.Defaults(scale.Factor)
@@ -326,8 +316,8 @@ func RunScenario(sc Scenario, solo bool) *Result {
 					runners[i] = w
 				case "webserver":
 					w := &workloads.Webserver{
-						FS: in.fs, Dir: "/webdata", NewThread: in.cont.NewThread,
-						Seed: seed, Threads: in.spec.Threads, Files: 100,
+						FS: fs, Dir: "/webdata", NewThread: cont.NewThread,
+						Seed: seed, Threads: spec.Threads, Files: 100,
 					}
 					w.Defaults(scale.Factor)
 					if err := w.Prepare(ctx); err != nil {
@@ -336,8 +326,8 @@ func RunScenario(sc Scenario, solo bool) *Result {
 					runners[i] = w
 				case "kvput":
 					db, err := kvstore.Open(ctx, kvstore.Config{
-						FS: in.fs, Dir: "/kv", MemtableBytes: 4 << 20,
-						Eng: tb.Eng, Params: tb.Params, NewThread: in.cont.NewThread,
+						FS: fs, Dir: "/kv", MemtableBytes: 4 << 20,
+						Eng: tb.Eng, Params: tb.Params, NewThread: cont.NewThread,
 					})
 					if err != nil {
 						panic(err)
@@ -345,13 +335,13 @@ func RunScenario(sc Scenario, solo bool) *Result {
 					dbs[i] = db
 					runners[i] = &workloads.KVPut{
 						DB: db, TotalBytes: 4 << 20, ValueSize: 64 << 10,
-						Threads: in.spec.Threads, Seed: seed, NewThread: in.cont.NewThread,
+						Threads: spec.Threads, Seed: seed, NewThread: cont.NewThread,
 						Stats: workloads.NewStats(),
 					}
 				case "randio":
 					w := &workloads.RandomIO{
-						FS: in.fs, Path: fmt.Sprintf("/rnd%d", i), NewThread: in.cont.NewThread,
-						Seed: seed, Threads: in.spec.Threads, FileSize: 8 << 20,
+						FS: fs, Path: fmt.Sprintf("/rnd%d", i), NewThread: cont.NewThread,
+						Seed: seed, Threads: spec.Threads, FileSize: 8 << 20,
 					}
 					w.Defaults(scale.Factor)
 					if err := w.Prepare(ctx); err != nil {
@@ -359,7 +349,7 @@ func RunScenario(sc Scenario, solo bool) *Result {
 					}
 					runners[i] = w
 				default:
-					panic("fuzz: unknown tenant workload " + in.spec.Workload)
+					panic("fuzz: unknown tenant workload " + spec.Workload)
 				}
 			})
 		}
@@ -390,82 +380,19 @@ func RunScenario(sc Scenario, solo bool) *Result {
 			panic(err)
 		}
 
-		writer := workloads.NewStats()
-		reader := workloads.NewStats()
-		var acked, walSize int64
-
+		// A crashed client invalidates its handles forever (replayable
+		// remount); recovery means reopening.
 		run := workloads.NewGroup(tb.Eng)
-		run.Go("wal-writer", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/wal", vfsapi.WRONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer func() { h.Close(ctx) }()
-			for !clock.Done() {
-				start := pp.Now()
-				_, werr := h.Append(ctx, walOp)
-				if werr == nil {
-					walSize += walOp
-					werr = h.Fsync(ctx)
-				}
-				if werr != nil {
-					if clock.Measuring() {
-						writer.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-					// A crashed client invalidates its handles forever
-					// (replayable remount); recovery means reopening. The
-					// reopened size discounts appends the crash discarded,
-					// so the acked frontier never counts lost bytes.
-					if sc.Crash != "" {
-						if nh, oerr := victim.Mount.Default.Open(ctx, "/wal", vfsapi.WRONLY); oerr == nil {
-							h.Close(ctx)
-							h = nh
-							walSize = nh.Size()
-						}
-					}
-					continue
-				}
-				// A successful fsync drained every dirty WAL extent, so
-				// everything appended so far is acknowledged durable.
-				acked = walSize
-				if clock.Measuring() {
-					writer.Record(walOp, pp.Now()-start)
-				}
-			}
-		})
-		run.Go("cold-reader", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/cold", vfsapi.RDONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer func() { h.Close(ctx) }()
-			var off int64
-			for !clock.Done() {
-				start := pp.Now()
-				n, rerr := h.Read(ctx, off, readChunk)
-				if rerr != nil {
-					if clock.Measuring() {
-						reader.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-					if sc.Crash != "" {
-						if nh, oerr := victim.Mount.Default.Open(ctx, "/cold", vfsapi.RDONLY); oerr == nil {
-							h.Close(ctx)
-							h = nh
-						}
-					}
-				} else if clock.Measuring() {
-					reader.Record(n, pp.Now()-start)
-				}
-				off += readChunk
-				if off >= coldSize {
-					off = 0
-				}
-			}
-		})
+		writer := &workloads.WALWriter{
+			FS: victim.Mount.Default, Path: "/wal", OpSize: walOp, NewThread: victim.NewThread,
+			Reopen: plan.ClientCrash(), Stats: workloads.NewStats(),
+		}
+		writer.Run(run, clock)
+		reader := &workloads.SeqReader{
+			Name: "cold-reader", FS: victim.Mount.Default, Path: "/cold", Size: coldSize, Chunk: readChunk,
+			NewThread: victim.NewThread, Reopen: plan.ClientCrash(), Stats: workloads.NewStats(),
+		}
+		reader.Run(run, clock)
 		var ol *workloads.OpenLoop
 		if sc.OfferedLoad > 0 {
 			ol = &workloads.OpenLoop{
@@ -489,7 +416,7 @@ func RunScenario(sc Scenario, solo bool) *Result {
 		// never drain.
 		for i, db := range dbs {
 			if db != nil {
-				db.Close(vfsapi.Ctx{P: p, T: tenants[i].cont.NewThread()})
+				db.Close(vfsapi.Ctx{P: p, T: tenants[i].NewThread()})
 			}
 		}
 
@@ -517,12 +444,12 @@ func RunScenario(sc Scenario, solo bool) *Result {
 			}
 		}
 
-		res.WriteOps = writer.Ops.Ops
-		res.ReadOps = reader.Ops.Ops
-		res.Errors = writer.Errors + reader.Errors
-		res.WriteMean = writer.Latency.Mean()
-		res.ReadMean = reader.Latency.Mean()
-		res.AckedBytes = acked
+		res.WriteOps = writer.Stats.Ops.Ops
+		res.ReadOps = reader.Stats.Ops.Ops
+		res.Errors = writer.Stats.Errors + reader.Stats.Errors
+		res.WriteMean = writer.Stats.Latency.Mean()
+		res.ReadMean = reader.Stats.Latency.Mean()
+		res.AckedBytes = writer.Acked
 		res.StoredBytes = tb.Cluster.StoredSize(walIno)
 		res.Faults = victimFaultStats(victimPool)
 		if ol != nil {
@@ -592,45 +519,15 @@ type TraceReplayRun struct {
 // self-contained: recorded creates rebuild the fileset the later ops
 // touch.
 func replayTrace(sc Scenario, tr *trace.Trace) TraceReplayRun {
-	scale := sc.scale()
-	cores := 2 * (1 + len(sc.Tenants))
-	var pol *core.OverloadPolicy
-	if sc.AdmitQueue > 0 {
-		pol = &core.OverloadPolicy{QueueCap: sc.AdmitQueue, RetrySeed: uint64(sc.Seed)}
+	// The replay binds recorded ops to tenants only, so the scaleup
+	// clone, which issues none, is left out.
+	sc.SharedMount = false
+	tb := scenarioTestbed(sc)
+	_, victim, conts := scenarioPools(tb, sc, true)
+	bindings := map[string]trace.Binding{
+		"victim": {FS: victim.Mount.Default, NewThread: victim.NewThread},
 	}
-	tb := core.NewTestbed(core.TestbedConfig{Cores: cores, Params: scale.Params(), Overload: pol})
-	tb.Cluster.SetReplication(sc.Replication)
-
-	poolMem := scale.PoolMem()
-	var cacheBytes int64
-	if sc.CacheFrac > 0 {
-		cacheBytes = poolMem / int64(sc.CacheFrac)
-	}
-
-	bindings := map[string]trace.Binding{}
-	if err := tb.Cluster.ProvisionDir("/containers/victim"); err != nil {
-		panic(err)
-	}
-	victimPool := tb.NewPool("victim", cpu.MaskRange(0, 2), poolMem)
-	victim, err := victimPool.NewContainer("victim", core.MountSpec{
-		Config: sc.Config, UpperDir: "/containers/victim", CacheBytes: cacheBytes,
-	})
-	if err != nil {
-		panic(err)
-	}
-	bindings["victim"] = trace.Binding{FS: victim.Mount.Default, NewThread: victim.NewThread}
-	for i := range sc.Tenants {
-		dir := fmt.Sprintf("/containers/t%d", i)
-		if err := tb.Cluster.ProvisionDir(dir); err != nil {
-			panic(err)
-		}
-		pool := tb.NewPool(fmt.Sprintf("t%d", i), cpu.MaskRange(2+2*i, 4+2*i), poolMem)
-		cont, err := pool.NewContainer(fmt.Sprintf("t%d", i), core.MountSpec{
-			Config: sc.Config, UpperDir: dir, CacheBytes: cacheBytes,
-		})
-		if err != nil {
-			panic(err)
-		}
+	for i, cont := range conts {
 		bindings[fmt.Sprintf("t%d", i)] = trace.Binding{FS: cont.Mount.Default, NewThread: cont.NewThread}
 	}
 
