@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/fuzz"
 	"repro/internal/vfsapi"
 )
 
@@ -60,5 +61,29 @@ func TestCleanOverloadRowPasses(t *testing.T) {
 	}
 	if vs := experiments.OverloadRowViolations(ok); len(vs) != 0 {
 		t.Fatalf("clean row flagged: %v", vs)
+	}
+}
+
+// TestFuzzSweepViolationsAccumulate: fuzzsweep violations go through
+// the same accumulator as every other sweep's, so under -exp all the
+// experiments sorted after it and the artifact exports still run
+// before the nonzero exit; a clean sweep adds nothing.
+func TestFuzzSweepViolationsAccumulate(t *testing.T) {
+	invariantFailures = 0
+	defer func() { invariantFailures = 0 }()
+
+	noteViolations(fuzzViolations(fuzz.Summary{Scenarios: 3, ByChecker: map[string]int{}}))
+	if invariantFailures != 0 {
+		t.Fatalf("clean fuzz sweep counted as failures: %d", invariantFailures)
+	}
+	sum := fuzz.Summary{Scenarios: 3, Violations: 3, ByChecker: map[string]int{"zero-data-loss": 2, "span-leak": 1}}
+	vs := fuzzViolations(sum)
+	want := []string{"fuzzsweep: 1 span-leak violation(s)", "fuzzsweep: 2 zero-data-loss violation(s)"}
+	if len(vs) != len(want) || vs[0] != want[0] || vs[1] != want[1] {
+		t.Fatalf("fuzzViolations = %q, want %q", vs, want)
+	}
+	noteViolations(vs)
+	if invariantFailures != 2 {
+		t.Fatalf("accumulator = %d, want 2", invariantFailures)
 	}
 }

@@ -27,14 +27,14 @@ func (tb *Testbed) AttachMonitor(mon *telemetry.Monitor) {
 		return
 	}
 	tb.Monitor = mon
-	tb.Obs.SetTelemetrySinks(
-		func(e obs.OpEvent) {
+	tb.Obs.Subscribe(obs.Subscriber{
+		Op: func(e obs.OpEvent) {
 			mon.RecordOp(e.Issue+e.Latency, e.Tenant, e.Op, e.Latency, e.Bytes, e.Err)
 		},
-		func(victim, aggressor string, start, dur time.Duration) {
+		Wait: func(victim, aggressor string, start, dur time.Duration) {
 			mon.RecordWait(start+dur, dur, victim, aggressor)
 		},
-	)
+	})
 	mon.SetAdmissionProbe(func() []telemetry.AdmissionSample {
 		out := make([]telemetry.AdmissionSample, 0, len(tb.pools))
 		for _, p := range tb.pools {

@@ -6,9 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/sim"
-	"repro/internal/vfsapi"
-	"repro/internal/workloads"
 )
 
 // CrashSweepCase is one point of the crash-sweep family: a client
@@ -63,6 +60,9 @@ type CrashSweepRow struct {
 	// remounted file size, when positive. The contract is zero — a
 	// crash may discard un-synced appends, never acknowledged ones.
 	DurabilityViolation int64
+
+	// Crash is the evidence the shared crash checks judge.
+	Crash CrashEvidence
 }
 
 // CrashSweepCases returns the harness sweep: for each of the three
@@ -76,141 +76,92 @@ func CrashSweepCases() []CrashSweepCase {
 	}
 }
 
-// crashPlan crashes kind's component in the victim pool (the whole
+// crashSchedule crashes kind's component in the victim pool (the whole
 // host for HostCrash) from fraction from to fraction to of the
 // measurement window.
-func crashPlan(kind faults.Kind, scale Scale, from, to float64) faults.Plan {
-	w := faults.Window{
-		Kind:   kind,
-		Tenant: "fls0",
-		Start:  time.Duration(float64(scale.Duration) * from),
-		End:    time.Duration(float64(scale.Duration) * to),
-	}
-	if kind == faults.HostCrash {
-		w.Tenant = ""
-	}
-	return faults.Plan{Windows: []faults.Window{w}}
+func crashSchedule(kind faults.Kind, scale Scale, from, to float64) string {
+	w := faults.Window{Kind: kind, Tenant: "fls0", Start: scale.frac(from), End: scale.frac(to)}
+	return w.String()
 }
 
-// RunCrashSweep executes one crash-sweep case: victim pool 0 runs a
+// crashSpec is one crash-sweep case as a scenario: victim pool 0 runs a
 // WAL writer that reopens its handle after the crash invalidates it,
-// bystander pool 1 reads a warm file, and the crash window is
-// installed relative to the measurement window.
-func RunCrashSweep(c CrashSweepCase, scale Scale) CrashSweepRow {
-	r := newScaledRig(4, scale, nil)
-	r.tb.Cluster.SetReplication(c.Replication)
-	row := CrashSweepRow{Label: c.Label, Config: c.Config, Replication: c.Replication, Kind: c.Kind}
-
-	_, victim, err := r.flsContainer(0, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
-	_, byst, err := r.flsContainer(1, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
-
+// bystander pool 1 reads a warm file, and the crash window spans 30-50%
+// of the measurement window.
+func crashSpec(c CrashSweepCase, scale Scale) Scenario {
 	const walOp = 64 << 10
 	const warmSize = 16 << 20
+	return Scenario{
+		Scale: scale, Cores: 4, Replication: c.Replication,
+		Pools: []PoolSpec{
+			{Name: "fls0", Config: c.Config, Prep: "prep0", Files: []File{{"/wal", 0, walOp}}},
+			{Name: "fls1", Config: c.Config, Prep: "prep1", Files: []File{{"/warm", warmSize, warmSize}}},
+		},
+		Schedule: crashSchedule(c.Kind, scale, 0.3, 0.5),
+		Probes: []Probe{
+			{Kind: WALProbe, Pool: 0, Path: "/wal", Chunk: walOp},
+			{Kind: SeqProbe, Name: "bystander", Pool: 1, Path: "/warm", Size: warmSize, Chunk: 128 << 10},
+		},
+	}
+}
 
-	r.runMaster(func(p *sim.Proc) {
-		prepare(p, r.tb.Eng, prepFile(victim, "/wal", 0, walOp), prepFile(byst, "/warm", warmSize, warmSize))
-
-		clock := clockFor(r.tb.Eng, scale)
-		plan := crashPlan(c.Kind, scale, 0.3, 0.5)
-		if _, err := faults.InstallWithTargets(r.tb.Eng, r.tb.Cluster, r.tb, plan, clock.From); err != nil {
-			panic(err)
+// RunCrashSweep executes one crash-sweep case.
+func RunCrashSweep(c CrashSweepCase, scale Scale) CrashSweepRow {
+	run := RunScenario(crashSpec(c, scale))
+	window := run.Clock.Window()
+	writer, warm := run.Stats[0], run.Stats[1]
+	row := CrashSweepRow{
+		Label: c.Label, Config: c.Config, Replication: c.Replication, Kind: c.Kind,
+		VictimWriteMBps: writer.ThroughputMBps(window),
+		VictimErrors:    writer.Errors,
+		BystanderMBps:   warm.ThroughputMBps(window),
+		BystanderErrors: warm.Errors,
+		VictimRepair:    run.Repair,
+		Crash:           run.Crash(),
+	}
+	if loss := run.Acked - run.Remount; loss > 0 {
+		row.DurabilityViolation = loss
+	}
+	for _, ev := range run.CrashLog {
+		row.AffectedTenants += len(ev.Affected)
+		row.QueueShed += ev.QueueShed
+		if ev.Recovered {
+			row.RecoveryTime += ev.RecoveryTime()
 		}
-		crashAbs := clock.From + plan.Windows[0].Start
-
-		// The victim's first completed op after the crash instant ends
-		// its end-to-end repair.
-		var victimRepaired time.Duration
-		markRepair := func(now time.Duration, err error) {
-			if err == nil && victimRepaired == 0 && now >= crashAbs {
-				victimRepaired = now - crashAbs
-			}
-		}
-
-		g := workloads.NewGroup(r.tb.Eng)
-		writer := &workloads.WALWriter{
-			FS: victim.Mount.Default, Path: "/wal", OpSize: walOp, NewThread: victim.NewThread,
-			Reopen: plan.ClientCrash(), Stats: workloads.NewStats(),
-			OnOp: func() func(time.Duration, error) { return markRepair },
-		}
-		writer.Run(g, clock)
-		warm := &workloads.SeqReader{
-			Name: "bystander", FS: byst.Mount.Default, Path: "/warm", Size: warmSize, Chunk: 128 << 10,
-			NewThread: byst.NewThread, Reopen: plan.ClientCrash(), Stats: workloads.NewStats(),
-		}
-		warm.Run(g, clock)
-		g.Wait(p)
-
-		// Durability audit through a fresh post-recovery handle: the
-		// remounted WAL must cover every fsync-acknowledged byte.
-		ctx := vfsapi.Ctx{P: p, T: victim.NewThread()}
-		var remount int64
-		if h, oerr := victim.Mount.Default.Open(ctx, "/wal", vfsapi.RDONLY); oerr == nil {
-			remount = h.Size()
-			h.Close(ctx)
-		}
-		if loss := writer.Acked - remount; loss > 0 {
-			row.DurabilityViolation = loss
-		}
-
-		window := clock.Window()
-		row.VictimWriteMBps = writer.Stats.ThroughputMBps(window)
-		row.VictimErrors = writer.Stats.Errors
-		row.BystanderMBps = warm.Stats.ThroughputMBps(window)
-		row.BystanderErrors = warm.Stats.Errors
-		row.VictimRepair = victimRepaired
-		for _, ev := range r.tb.CrashLog() {
-			row.AffectedTenants += len(ev.Affected)
-			row.QueueShed += ev.QueueShed
-			if ev.Recovered {
-				row.RecoveryTime += ev.RecoveryTime()
-			}
-		}
-	})
+	}
 	return row
 }
 
-// CrashRowViolations checks the crash-sweep invariants on one row:
-// the durability contract (no fsync-acknowledged byte lost), recovery
-// completion (the scheduled restart brought the service back), and the
-// paper's blast-radius claim — a Danaus libservice or FUSE daemon
-// crash is one tenant's problem while a kernel-client crash interrupts
-// every pool on the host. It returns human-readable violation
-// descriptions (empty = clean).
+// CrashRowViolations checks the crash-sweep invariants on one row: the
+// crash checks every scheduled client crash passes (CrashViolations:
+// recovery completed, no fsync-acknowledged byte lost), that the crash
+// window had an effect, and the paper's blast-radius claim — a Danaus
+// libservice or FUSE daemon crash is one tenant's problem while a
+// kernel-client crash interrupts every pool on the host. It returns
+// human-readable violation descriptions (empty = clean).
 func CrashRowViolations(r CrashSweepRow) []string {
+	tag := fmt.Sprintf("crashsweep %s %s: ", r.Config, r.Label)
 	var v []string
-	if r.DurabilityViolation > 0 {
-		v = append(v, fmt.Sprintf("crashsweep %s %s: durability violated: %d fsync-acked bytes missing after remount",
-			r.Config, r.Label, r.DurabilityViolation))
-	}
-	if r.RecoveryTime <= 0 {
-		v = append(v, fmt.Sprintf("crashsweep %s %s: recovery never completed", r.Config, r.Label))
+	for _, d := range CrashViolations(r.Crash) {
+		v = append(v, tag+d)
 	}
 	if r.VictimErrors == 0 {
-		v = append(v, fmt.Sprintf("crashsweep %s %s: crash window had no effect: victim saw zero errors", r.Config, r.Label))
+		v = append(v, tag+"crash window had no effect: victim saw zero errors")
 	}
 	switch r.Kind {
 	case faults.DanausCrash, faults.FUSECrash:
 		if r.AffectedTenants != 1 {
-			v = append(v, fmt.Sprintf("crashsweep %s %s: blast radius violated: %d tenants affected, want 1",
-				r.Config, r.Label, r.AffectedTenants))
+			v = append(v, fmt.Sprintf("%sblast radius violated: %d tenants affected, want 1", tag, r.AffectedTenants))
 		}
 		if r.BystanderErrors != 0 {
-			v = append(v, fmt.Sprintf("crashsweep %s %s: containment violated: bystander saw %d errors",
-				r.Config, r.Label, r.BystanderErrors))
+			v = append(v, fmt.Sprintf("%scontainment violated: bystander saw %d errors", tag, r.BystanderErrors))
 		}
 	case faults.HostCrash:
 		if r.AffectedTenants != 2 {
-			v = append(v, fmt.Sprintf("crashsweep %s %s: blast radius violated: %d tenants affected, want 2 (whole host)",
-				r.Config, r.Label, r.AffectedTenants))
+			v = append(v, fmt.Sprintf("%sblast radius violated: %d tenants affected, want 2 (whole host)", tag, r.AffectedTenants))
 		}
 		if r.BystanderErrors == 0 {
-			v = append(v, fmt.Sprintf("crashsweep %s %s: host crash did not interrupt the bystander", r.Config, r.Label))
+			v = append(v, tag+"host crash did not interrupt the bystander")
 		}
 	}
 	return v

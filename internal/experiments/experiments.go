@@ -154,14 +154,6 @@ func prepare(p *sim.Proc, eng *sim.Engine, fns ...func(pp *sim.Proc)) {
 	g.Wait(p)
 }
 
-// prepFile returns a preparation step that writes one file in cont on
-// a fresh thread (see workloads.PrepFile).
-func prepFile(cont *core.Container, path string, size, chunk int64) func(pp *sim.Proc) {
-	return func(pp *sim.Proc) {
-		workloads.PrepFile(vfsapi.Ctx{P: pp, T: cont.NewThread()}, cont.Mount.Default, path, size, chunk)
-	}
-}
-
 // newSyscallLocal wraps the host's local ext4 mount with syscall entry
 // costs (the path RND and WBS take to their local datasets).
 func newSyscallLocal(tb *core.Testbed) vfsapi.FileSystem {

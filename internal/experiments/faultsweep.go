@@ -2,17 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/kern"
 	"repro/internal/metrics"
-	"repro/internal/sim"
-	"repro/internal/vfsapi"
-	"repro/internal/workloads"
 )
 
 // FaultSweepCase is one point of the fault-sweep family: a client
@@ -67,11 +60,8 @@ type FaultSweepRow struct {
 // kernel client at replication 2, and an unreplicated long crash that
 // exercises the bounded-retry error path.
 func FaultSweepCases(scale Scale) []FaultSweepCase {
-	frac := func(f float64) time.Duration {
-		return time.Duration(float64(scale.Duration) * f)
-	}
 	span := func(a, b float64) string {
-		return fmt.Sprintf("%v-%v", frac(a), frac(b))
+		return fmt.Sprintf("%v-%v", scale.frac(a), scale.frac(b))
 	}
 	combined := fmt.Sprintf("osd-crash:@wal:%s;net-spike:client:500us:%s;mds-stall:%s",
 		span(0.25, 0.6), span(0.4, 0.7), span(0.5, 0.55))
@@ -84,125 +74,48 @@ func FaultSweepCases(scale Scale) []FaultSweepCase {
 	}
 }
 
-// mountFaultStats sums the fault counters of whichever Ceph clients
-// back the mount.
-func mountFaultStats(m *core.MountResult) metrics.FaultCounters {
-	var total metrics.FaultCounters
-	if m.Client != nil {
-		total.Add(m.Client.FaultStats())
-	}
-	if m.KernelMount != nil {
-		if cs, ok := m.KernelMount.Store().(*kern.CephStore); ok {
-			total.Add(cs.FaultStats())
-		}
-	}
-	return total
-}
-
-// RunFaultSweep executes one fault-sweep case: victim pool 0 runs the
-// WAL writer and the cold reader, bystander pool 1 a cached reader,
+// faultSpec is one fault-sweep case as a scenario: victim pool 0 runs
+// the WAL writer and the cold reader, bystander pool 1 a cached reader,
 // and the schedule is installed relative to the measurement window.
-func RunFaultSweep(c FaultSweepCase, scale Scale) FaultSweepRow {
-	r := newScaledRig(4, scale, nil)
-	r.tb.Cluster.SetReplication(c.Replication)
-	row := FaultSweepRow{Label: c.Label, Config: c.Config, Replication: c.Replication}
-
-	_, victim, err := r.flsContainer(0, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
-	_, byst, err := r.flsContainer(1, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
-
+func faultSpec(c FaultSweepCase, scale Scale) Scenario {
 	// The cold file overflows the victim's cache so reads keep hitting
 	// the backend; the bystander file fits comfortably.
 	coldSize := scale.PoolMem() + scale.PoolMem()/2
 	const warmSize = 16 << 20
 	const walOp = 64 << 10
+	return Scenario{
+		Scale: scale, Cores: 4, Replication: c.Replication,
+		Pools: []PoolSpec{
+			{Name: "fls0", Config: c.Config, Prep: "prep0", Files: []File{{"/wal", 0, walOp}, {"/cold", coldSize, 1 << 20}}},
+			{Name: "fls1", Config: c.Config, Prep: "prep1", Files: []File{{"/warm", warmSize, warmSize}}},
+		},
+		Schedule: c.Schedule,
+		Probes: []Probe{
+			{Kind: WALProbe, Pool: 0, Path: "/wal", Chunk: walOp},
+			{Kind: SeqProbe, Name: "cold-reader", Pool: 0, Path: "/cold", Size: coldSize, Chunk: 256 << 10},
+			{Kind: SeqProbe, Name: "bystander", Pool: 1, Path: "/warm", Size: warmSize, Chunk: 128 << 10},
+		},
+	}
+}
 
-	r.runMaster(func(p *sim.Proc) {
-		prepare(p, r.tb.Eng,
-			func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-				workloads.PrepFile(ctx, victim.Mount.Default, "/wal", 0, walOp)
-				workloads.PrepFile(ctx, victim.Mount.Default, "/cold", coldSize, 1<<20)
-			},
-			prepFile(byst, "/warm", warmSize, warmSize),
-		)
-
-		clock := clockFor(r.tb.Eng, scale)
-
-		walNode, err := r.tb.Cluster.Tree().Lookup("/containers/fls0/wal")
-		if err != nil {
-			panic(err)
-		}
-		walIno := walNode.Ino
-		sched := strings.ReplaceAll(c.Schedule, "@wal",
-			strconv.Itoa(r.tb.Cluster.PlacementOf(walIno, 0)))
-		plan, err := faults.Parse(sched)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := faults.Install(r.tb.Eng, r.tb.Cluster, plan, clock.From); err != nil {
-			panic(err)
-		}
-		var faultAbs time.Duration
-		if !plan.Empty() {
-			faultAbs = clock.From + plan.Windows[0].Start
-		}
-
-		// survival is the victim probes' per-op hook: it snapshots the
-		// fault counters before each op and records the first op after
-		// the fault armed whose success coincided with retry/failover
-		// activity.
-		var firstSurvived time.Duration
-		survival := func() func(time.Duration, error) {
-			before := mountFaultStats(victim.Mount)
-			return func(now time.Duration, err error) {
-				if err != nil || faultAbs == 0 || now < faultAbs || firstSurvived != 0 {
-					return
-				}
-				after := mountFaultStats(victim.Mount)
-				if after.Retries > before.Retries || after.Failovers > before.Failovers {
-					firstSurvived = now
-				}
-			}
-		}
-
-		g := workloads.NewGroup(r.tb.Eng)
-		writer := &workloads.WALWriter{
-			FS: victim.Mount.Default, Path: "/wal", OpSize: walOp, NewThread: victim.NewThread,
-			Reopen: plan.ClientCrash(), OnOp: survival, Stats: workloads.NewStats(),
-		}
-		writer.Run(g, clock)
-		reader := &workloads.SeqReader{
-			Name: "cold-reader", FS: victim.Mount.Default, Path: "/cold", Size: coldSize, Chunk: 256 << 10,
-			NewThread: victim.NewThread, Reopen: plan.ClientCrash(), OnOp: survival, Stats: workloads.NewStats(),
-		}
-		reader.Run(g, clock)
-		warm := &workloads.SeqReader{
-			Name: "bystander", FS: byst.Mount.Default, Path: "/warm", Size: warmSize, Chunk: 128 << 10,
-			NewThread: byst.NewThread, Reopen: plan.ClientCrash(), Stats: workloads.NewStats(),
-		}
-		warm.Run(g, clock)
-		g.Wait(p)
-
-		window := clock.Window()
-		row.VictimWriteMBps = writer.Stats.ThroughputMBps(window)
-		row.VictimReadMBps = reader.Stats.ThroughputMBps(window)
-		row.BystanderMBps = warm.Stats.ThroughputMBps(window)
-		row.VictimOps = writer.Stats.Ops.Ops + reader.Stats.Ops.Ops
-		row.VictimErrors = writer.Stats.Errors + reader.Stats.Errors
-		if firstSurvived > 0 {
-			row.RecoveryTime = firstSurvived - faultAbs
-		}
-		row.Faults = mountFaultStats(victim.Mount)
-		if loss := writer.Acked - r.tb.Cluster.StoredSize(walIno); loss > 0 {
-			row.DataLossBytes = loss
-		}
-	})
+// RunFaultSweep executes one fault-sweep case.
+func RunFaultSweep(c FaultSweepCase, scale Scale) FaultSweepRow {
+	run := RunScenario(faultSpec(c, scale))
+	window := run.Clock.Window()
+	writer, reader, warm := run.Stats[0], run.Stats[1], run.Stats[2]
+	row := FaultSweepRow{
+		Label: c.Label, Config: c.Config, Replication: c.Replication,
+		VictimWriteMBps: writer.ThroughputMBps(window),
+		VictimReadMBps:  reader.ThroughputMBps(window),
+		BystanderMBps:   warm.ThroughputMBps(window),
+		VictimOps:       writer.Ops.Ops + reader.Ops.Ops,
+		VictimErrors:    writer.Errors + reader.Errors,
+		RecoveryTime:    run.Recovery,
+		Faults:          run.Faults,
+	}
+	if loss := run.Acked - run.Stored; loss > 0 {
+		row.DataLossBytes = loss
+	}
 	return row
 }
 

@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/workloads"
 )
 
 // MonitorCase is one point of the monitor-sweep family: a client
@@ -132,119 +130,44 @@ func monitorConfig(scale Scale, slos []telemetry.SLO) telemetry.Config {
 	}
 }
 
-// calibrateVictim measures the victim's unloaded baseline for the
-// configuration: the same testbed, pools, and reader, no disturbance,
-// no monitor. It returns the p99 latency and the completions per fast
-// window. The overload SLO is set from both, which is what a
-// production burn-rate SLO would be: a latency target and a throughput
-// floor derived from the service's own baseline.
-func calibrateVictim(c MonitorCase, scale Scale) (time.Duration, uint64) {
-	tb, victim, _ := monitorTestbed(c, scale, nil)
-	stats := workloads.NewStats()
-	runMonitorLoad(tb, nil, scale, victim, stats, nil, nil, 0)
-	return stats.Latency.Quantile(0.99), stats.Ops.Ops / monFastFrac
-}
-
-// monitorTestbed builds the two-pool testbed for a case: victim pool
-// 0, aggressor/bystander pool 1, overload protection per the case.
-// When mon is non-nil, an observability recorder and the monitor are
-// attached BEFORE the pools are created, so every mount gets the
-// traced facade that feeds the monitor.
-func monitorTestbed(c MonitorCase, scale Scale, mon *telemetry.Monitor) (*core.Testbed, *core.Container, *core.Container) {
-	r := newScaledRig(4, scale, protection(c.Protected))
-	if mon != nil {
-		ensureObs(r.tb)
-		r.tb.AttachMonitor(mon)
-	}
-	_, victim, err := r.flsContainer(0, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
-	_, other, err := r.flsContainer(1, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
-	return r.tb, victim, other
-}
-
-// runMonitorLoad drives one monitored run: the victim reads a cold
-// dataset closed-loop for the whole measurement. The disturbance is
-// optional. With crash set, the plan is installed at measurement start
-// and other runs a warm reader (the bystander whose alerts measure
-// blast radius). With burstRate set, other is the aggressor: it offers
-// burstRate open-loop inside [monFaultStart, monFaultEnd] of the
-// measurement window. With neither, the run is the unloaded
-// calibration. SLO counting on mon is armed at measurement start so
-// cache-cold warmup latencies stay out of the ledger. The victim's
-// measured latencies land in vicStats; the return value is the
-// absolute virtual time the measurement ended.
-func runMonitorLoad(tb *core.Testbed, mon *telemetry.Monitor, scale Scale, victim *core.Container, vicStats *workloads.Stats,
-	other *core.Container, crash *faults.Plan, burstRate float64) time.Duration {
-	r := &rig{tb: tb}
+// monitorSpec is one monitored run as a scenario: the victim in pool 0
+// reads a cold dataset closed-loop for the whole measurement, pool 1
+// holds the disturbance, with overload protection per the case. A
+// crash case installs the crash at [monFaultStart, monFaultEnd] while
+// pool 1 runs a warm reader (the bystander whose alerts measure blast
+// radius). An overload case makes pool 1 the aggressor, offering the
+// burst open-loop inside the same sub-window. With calibrate set, the
+// run is the unloaded baseline: the victim alone, no monitor.
+func monitorSpec(c MonitorCase, scale Scale, mon *telemetry.Monitor, calibrate bool) Scenario {
 	coldSize := scale.PoolMem() + scale.PoolMem()/2
 	const readChunk = 128 << 10
 	const warmSize = 16 << 20
-	reopen := crash != nil && crash.ClientCrash()
-	var measureEnd time.Duration
-
-	r.runMaster(func(p *sim.Proc) {
-		preps := []func(pp *sim.Proc){prepFile(victim, "/cold", coldSize, 1<<20)}
-		switch {
-		case crash != nil:
-			// At 16MB the bystander's file stays resident in its cache.
-			preps = append(preps, prepFile(other, "/warm", warmSize, 1<<20))
-		case burstRate > 0:
-			preps = append(preps, prepFile(other, "/cold", coldSize, 1<<20))
-		}
-		prepare(p, r.tb.Eng, preps...)
-
-		clock := clockFor(r.tb.Eng, scale)
-		measureEnd = clock.Stop
-		mon.ArmSLOs(clock.From, clock.Stop)
-		if crash != nil {
-			if _, err := faults.InstallWithTargets(r.tb.Eng, r.tb.Cluster, r.tb, *crash, clock.From); err != nil {
-				panic(err)
-			}
-		}
-
-		g := workloads.NewGroup(r.tb.Eng)
-		probe := &workloads.SeqReader{
-			Name: "victim-reader", FS: victim.Mount.Default, Path: "/cold", Size: coldSize, Chunk: readChunk,
-			NewThread: victim.NewThread, Reopen: reopen, Stats: vicStats,
-		}
-		probe.Run(g, clock)
-		switch {
-		case crash != nil:
-			byst := &workloads.SeqReader{
-				Name: "bystander-reader", FS: other.Mount.Default, Path: "/warm", Size: warmSize, Chunk: readChunk,
-				NewThread: other.NewThread, Reopen: reopen,
-			}
-			byst.Run(g, clock)
-		case burstRate > 0:
-			burst := workloads.Clock{
-				Eng:  r.tb.Eng,
-				From: clock.From + time.Duration(float64(scale.Duration)*monFaultStart),
-				Stop: clock.From + time.Duration(float64(scale.Duration)*monFaultEnd),
-			}
-			g.Go("burst-starter", func(pp *sim.Proc) {
-				if wait := burst.From - pp.Now(); wait > 0 {
-					pp.Sleep(wait)
-				}
-				ol := &workloads.OpenLoop{
-					FS:        other.Mount.Default,
-					Path:      "/cold",
-					FileSize:  coldSize,
-					OpSize:    overloadOpSize,
-					Rate:      burstRate,
-					Seed:      42,
-					NewThread: other.NewThread,
-				}
-				ol.Run(g, burst)
-			})
-		}
-		g.Wait(p)
-	})
-	return measureEnd
+	s := Scenario{
+		Scale: scale, Cores: 4, Overload: protection(c.Protected),
+		Monitor: mon, ArmSLOs: mon != nil,
+		Pools: []PoolSpec{
+			{Name: "fls0", Config: c.Config, Prep: "prep0", Files: []File{{"/cold", coldSize, 1 << 20}}},
+			{Name: "fls1", Config: c.Config, Prep: "prep1"},
+		},
+		Probes: []Probe{{Kind: SeqProbe, Name: "victim-reader", Pool: 0, Path: "/cold", Size: coldSize, Chunk: readChunk}},
+	}
+	switch {
+	case calibrate:
+	case c.Fault == "crash":
+		// At 16MB the bystander's file stays resident in its cache.
+		s.Pools[1].Files = []File{{"/warm", warmSize, 1 << 20}}
+		s.Schedule = crashSchedule(c.Kind, scale, monFaultStart, monFaultEnd)
+		s.Probes = append(s.Probes, Probe{Kind: SeqProbe, Name: "bystander-reader", Pool: 1, Path: "/warm", Size: warmSize, Chunk: readChunk})
+	case c.Fault == "overload":
+		s.Pools[1].Files = []File{{"/cold", coldSize, 1 << 20}}
+		s.Probes = append(s.Probes, Probe{
+			Kind: OpenProbe, Name: "burst", Pool: 1, Path: "/cold", Size: coldSize, Chunk: overloadOpSize,
+			Rate: overloadBaseRate * monBurstMult, Seed: 42, From: monFaultStart, To: monFaultEnd,
+		})
+	default:
+		panic("monitorsweep: unknown fault " + c.Fault)
+	}
+	return s
 }
 
 // RunMonitorCase runs one monitored point. Overload cases first run an
@@ -259,7 +182,12 @@ func RunMonitorCase(c MonitorCase, scale Scale) MonitorRow {
 
 	var slos []telemetry.SLO
 	if c.Fault == "overload" {
-		base, opsPerWin := calibrateVictim(c, scale)
+		// The unloaded baseline sets the SLO from both the victim's p99
+		// and its completions per fast window, which is what a
+		// production burn-rate SLO would be: a latency target and a
+		// throughput floor derived from the service's own baseline.
+		stats := RunScenario(monitorSpec(c, scale, nil, true)).Stats[0]
+		base, opsPerWin := stats.Latency.Quantile(0.99), stats.Ops.Ops/monFastFrac
 		if base <= 0 {
 			base = time.Millisecond
 		}
@@ -282,24 +210,7 @@ func RunMonitorCase(c MonitorCase, scale Scale) MonitorRow {
 	}
 
 	mon := telemetry.New(monitorConfig(scale, slos))
-	// Mute SLO counting until the load function knows the measurement
-	// interval and arms it: without this, preparation windows with no
-	// reads would trip the throughput floor before the workload exists.
-	mon.ArmSLOs(time.Duration(1<<62), 0)
-	tb, victim, other := monitorTestbed(c, scale, mon)
-
-	vicStats := workloads.NewStats()
-	switch c.Fault {
-	case "overload":
-		row.MeasureEnd = runMonitorLoad(tb, mon, scale, victim, vicStats, other, nil, overloadBaseRate*monBurstMult)
-	case "crash":
-		plan := crashPlan(c.Kind, scale, monFaultStart, monFaultEnd)
-		row.MeasureEnd = runMonitorLoad(tb, mon, scale, victim, vicStats, other, &plan, 0)
-	default:
-		panic("monitorsweep: unknown fault " + c.Fault)
-	}
-
-	tb.Obs.Finalize()
+	row.MeasureEnd = RunScenario(monitorSpec(c, scale, mon, false)).Clock.Stop
 	row.Monitor = mon
 	row.Alerts = mon.Alerts()
 	row.Windows = len(mon.Windows())

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/vfsapi"
-	"repro/internal/workloads"
 )
 
 // OverloadCase is one point of the overload-sweep family: a client
@@ -101,101 +99,73 @@ func RunOverloadSweep(scale Scale) []OverloadRow {
 	return rows
 }
 
-// RunOverloadCase runs one overload point: victim pool 0 issues
-// closed-loop cold reads (the tail-latency probe), aggressor pool 1 is
-// driven by the open-loop Poisson generator at the case's offered
-// load. Both pools mount the case's configuration; the protection
-// policy applies testbed-wide when the case is protected.
-func RunOverloadCase(c OverloadCase, scale Scale) OverloadRow {
-	r := newScaledRig(4, scale, protection(c.Protected))
-
-	row := OverloadRow{
-		Label: c.Label, Config: c.Config, Protected: c.Protected,
-		Multiplier:  c.Multiplier,
-		OfferedRate: overloadBaseRate * float64(c.Multiplier),
-	}
-
-	_, victim, err := r.flsContainer(0, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
-	aggPool, agg, err := r.flsContainer(1, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
-
+// overloadSpec is one overload point as a scenario: victim pool 0
+// issues closed-loop cold reads (the tail-latency probe), aggressor
+// pool 1 is driven by the open-loop Poisson generator at the case's
+// offered load. Both pools mount the case's configuration; the
+// protection policy applies testbed-wide when the case is protected.
+func overloadSpec(c OverloadCase, scale Scale) Scenario {
 	// Both datasets overflow their pool's cache so reads keep hitting
 	// the shared backend — the resource the aggressor overloads.
 	coldSize := scale.PoolMem() + scale.PoolMem()/2
+	s := Scenario{
+		Scale: scale, Cores: 4, Overload: protection(c.Protected),
+		Pools: []PoolSpec{
+			{Name: "fls0", Config: c.Config, Prep: "prep0", Files: []File{{"/cold", coldSize, 1 << 20}}},
+			{Name: "fls1", Config: c.Config, Prep: "prep1", Files: []File{{"/cold", coldSize, 1 << 20}}},
+		},
+		Probes: []Probe{{Kind: SeqProbe, Name: "victim-reader", Pool: 0, Path: "/cold", Size: coldSize, Chunk: 128 << 10}},
+	}
+	if c.Multiplier > 0 {
+		s.Probes = append(s.Probes, Probe{
+			Kind: OpenProbe, Pool: 1, Path: "/cold", Size: coldSize, Chunk: overloadOpSize,
+			Rate: overloadBaseRate * float64(c.Multiplier), Seed: 42,
+		})
+	}
+	return s
+}
 
-	r.runMaster(func(p *sim.Proc) {
-		prepare(p, r.tb.Eng, prepFile(victim, "/cold", coldSize, 1<<20), prepFile(agg, "/cold", coldSize, 1<<20))
-
-		clock := clockFor(r.tb.Eng, scale)
-
-		g := workloads.NewGroup(r.tb.Eng)
-		probe := &workloads.SeqReader{
-			Name: "victim-reader", FS: victim.Mount.Default, Path: "/cold", Size: coldSize, Chunk: 128 << 10,
-			NewThread: victim.NewThread, Stats: workloads.NewStats(),
+// RunOverloadCase runs one overload point (see overloadSpec).
+func RunOverloadCase(c OverloadCase, scale Scale) OverloadRow {
+	run := RunScenario(overloadSpec(c, scale))
+	probe := run.Stats[0]
+	row := OverloadRow{
+		Label: c.Label, Config: c.Config, Protected: c.Protected,
+		Multiplier:    c.Multiplier,
+		OfferedRate:   overloadBaseRate * float64(c.Multiplier),
+		VictimP99:     probe.Latency.Quantile(0.99),
+		VictimMBps:    probe.ThroughputMBps(run.Clock.Window()),
+		BrownoutFlips: run.TB.Kernel.BrownoutFlips(),
+	}
+	for _, cont := range run.Conts {
+		if cont.Mount.Client != nil {
+			row.BreakerOpens += cont.Mount.Client.BreakerStats().Opens
 		}
-		probe.Run(g, clock)
-
-		var ol *workloads.OpenLoop
-		if c.Multiplier > 0 {
-			ol = &workloads.OpenLoop{
-				FS:        agg.Mount.Default,
-				Path:      "/cold",
-				FileSize:  coldSize,
-				OpSize:    overloadOpSize,
-				Rate:      row.OfferedRate,
-				Seed:      42,
-				NewThread: agg.NewThread,
-				Stats:     workloads.NewStats(),
-			}
-			ol.Run(g, clock)
+	}
+	if ol := run.OpenLoop; ol != nil {
+		row.Offered, row.Completed, row.Shed, row.Failed = ol.Offered, ol.Completed, ol.Shed, ol.Failed
+		if ol.Offered > 0 {
+			row.ShedRate = float64(ol.Shed) / float64(ol.Offered)
 		}
-		g.Wait(p)
-
-		window := clock.Window()
-		row.VictimP99 = probe.Stats.Latency.Quantile(0.99)
-		row.VictimMBps = probe.Stats.ThroughputMBps(window)
-		if ol != nil {
-			row.Offered = ol.Offered
-			row.Completed = ol.Completed
-			row.Shed = ol.Shed
-			row.Failed = ol.Failed
-			if ol.Offered > 0 {
-				row.ShedRate = float64(ol.Shed) / float64(ol.Offered)
-			}
+	}
+	for _, a := range run.Admission {
+		if a.Tenant == "fls1" {
+			row.Admission, row.QueueCap = a.Stats, a.QueueCap
 		}
-		if a := aggPool.Admission; a != nil {
-			row.Admission = a.Stats()
-			row.QueueCap = a.QueueCap()
-		}
-		for _, cl := range []*core.Container{victim, agg} {
-			if cl.Mount.Client != nil {
-				row.BreakerOpens += cl.Mount.Client.BreakerStats().Opens
-			}
-		}
-		row.BrownoutFlips = r.tb.Kernel.BrownoutFlips()
-	})
+	}
 	return row
 }
 
-// OverloadRowViolations checks the overload invariants on one row:
-// the admission queue never exceeded its configured cap, and every
-// offered operation is accounted admitted, shed, or still in flight.
-// It returns human-readable violation descriptions (empty = clean).
+// OverloadRowViolations checks the aggressor pool's admission ledger
+// on one row with the shared admission checks: the queue never
+// exceeded its cap, and every offered operation is accounted admitted,
+// shed, or in flight, with none left once drained. It returns
+// human-readable violation descriptions (empty = clean).
 func OverloadRowViolations(r OverloadRow) []string {
+	a := TenantAdmission{Tenant: "fls1", QueueCap: r.QueueCap, Stats: r.Admission}
 	var v []string
-	if r.QueueCap > 0 && r.Admission.MaxQueued > r.QueueCap {
-		v = append(v, fmt.Sprintf("overloadsweep %s %dx: bounded-queue violated: max queued %d > cap %d",
-			r.Label, r.Multiplier, r.Admission.MaxQueued, r.QueueCap))
-	}
-	a := r.Admission
-	if a.Offered != a.Admitted+a.Shed+uint64(a.InFlight) {
-		v = append(v, fmt.Sprintf("overloadsweep %s %dx: admission accounting violated: offered %d != admitted %d + shed %d + in-flight %d",
-			r.Label, r.Multiplier, a.Offered, a.Admitted, a.Shed, a.InFlight))
+	for _, d := range append(BoundedQueueViolations(a), AdmissionAccountingViolations(a)...) {
+		v = append(v, fmt.Sprintf("overloadsweep %s %dx: %s", r.Label, r.Multiplier, d))
 	}
 	return v
 }

@@ -196,7 +196,7 @@ func RecordTraceBaseline(scale Scale) (*trace.Trace, TraceRow) {
 
 		clock := clockFor(tb.Eng, scale)
 		capRec.SetBase(tb.Eng.Now())
-		capRec.Attach(rec)
+		detach := capRec.Attach(rec)
 
 		g := workloads.NewGroup(tb.Eng)
 		prods := make([]*workloads.Production, len(conts))
@@ -213,7 +213,7 @@ func RecordTraceBaseline(scale Scale) (*trace.Trace, TraceRow) {
 			w.Run(g, clock)
 		}
 		g.Wait(p)
-		rec.SetOpSink(nil)
+		detach()
 		captured = capRec.Snapshot()
 
 		for i, w := range prods {

@@ -250,20 +250,14 @@ type Injector struct {
 	events []Event
 }
 
-// Install schedules every window of the plan against the engine, with
-// window times interpreted relative to offset (an absolute virtual
-// time, typically the start of an experiment's measurement window).
-// The plan is validated first; an empty plan installs nothing and
-// perturbs nothing. Plans containing client crash windows need
-// InstallWithTargets.
-func Install(eng *sim.Engine, clus *cluster.Cluster, plan Plan, offset time.Duration) (*Injector, error) {
-	return InstallWithTargets(eng, clus, nil, plan, offset)
-}
-
-// InstallWithTargets is Install plus a crash-target resolver for the
-// client crash kinds. Targets are resolved at install time, so a
-// schedule naming an unknown tenant fails immediately rather than
-// mid-run. A nil resolver rejects plans containing crash windows.
+// InstallWithTargets schedules every window of the plan against the
+// engine, with window times interpreted relative to offset (an
+// absolute virtual time, typically the start of an experiment's
+// measurement window). The plan is validated first; an empty plan
+// installs nothing and perturbs nothing. targets resolves the client
+// crash kinds at install time, so a schedule naming an unknown tenant
+// fails immediately rather than mid-run; a nil resolver rejects plans
+// containing crash windows.
 func InstallWithTargets(eng *sim.Engine, clus *cluster.Cluster, targets CrashTargets, plan Plan, offset time.Duration) (*Injector, error) {
 	if err := plan.Validate(len(clus.OSDs())); err != nil {
 		return nil, err

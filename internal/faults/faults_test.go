@@ -164,7 +164,7 @@ func TestInjectorArmsAndDisarms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := Install(e, c, plan, 0)
+	inj, err := InstallWithTargets(e, c, nil, plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj, err := Install(e, c, plan, 2*time.Millisecond)
+		inj, err := InstallWithTargets(e, c, nil, plan, 2*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,11 +215,11 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 }
 
-// TestInstallRejectsBadPlan: Install validates before scheduling.
+// TestInstallRejectsBadPlan: InstallWithTargets validates before scheduling.
 func TestInstallRejectsBadPlan(t *testing.T) {
 	e, c := testCluster()
 	plan := Plan{Windows: []Window{{Kind: OSDCrash, OSD: 99, End: time.Second}}}
-	if _, err := Install(e, c, plan, 0); err == nil || !strings.Contains(err.Error(), "no such osd") {
-		t.Fatalf("Install accepted a bad plan (err=%v)", err)
+	if _, err := InstallWithTargets(e, c, nil, plan, 0); err == nil || !strings.Contains(err.Error(), "no such osd") {
+		t.Fatalf("InstallWithTargets accepted a bad plan (err=%v)", err)
 	}
 }

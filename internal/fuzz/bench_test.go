@@ -10,7 +10,7 @@ import (
 // BenchmarkFuzzScenarioRun anchors the cost of one fuzz pipeline run
 // (testbed build, victim probe, invariant evidence collection) for the
 // CI bench-guard: a sweep is N of these, so a hot-path regression here
-// multiplies directly into fuzz-smoke wall time.
+// multiplies directly into the CI fuzz smoke run's wall time.
 func BenchmarkFuzzScenarioRun(b *testing.B) {
 	sc := Scenario{
 		Seed:        1,

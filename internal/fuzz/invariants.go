@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/blame"
+	"repro/internal/experiments"
 	"repro/internal/metrics"
 )
 
@@ -156,68 +157,49 @@ func checkTraceReplay(o *Outcome) []string {
 }
 
 // checkCrashConsistency: a scheduled client crash must actually happen
-// and recover, and the durability contract must hold across it — the
-// WAL size visible through a fresh post-recovery handle covers every
-// byte fsync acknowledged. Un-synced appends may vanish (that is the
-// crash model), but acknowledged data may not.
+// and recover, and the durability contract must hold across it
+// (experiments.CrashViolations, the crash sweep's check too).
 func checkCrashConsistency(o *Outcome) []string {
 	if o.Scenario.Crash == "" {
 		return nil
 	}
 	var out []string
 	for _, lr := range o.runs() {
-		label, r := lr.label, lr.res
-		if r.CrashEvents == 0 {
-			out = append(out, fmt.Sprintf("%s: crash scheduled (%s) but no crash event recorded",
-				label, o.Scenario.Crash))
-			continue
+		r := lr.res
+		e := experiments.CrashEvidence{
+			Events: r.CrashEvents, Recovered: r.CrashRecovered, Affected: r.CrashAffected,
+			Acked: r.AckedBytes, Remount: r.RemountSize,
 		}
-		if r.CrashRecovered != r.CrashEvents {
-			out = append(out, fmt.Sprintf("%s: %d crash(es) but only %d recovered",
-				label, r.CrashEvents, r.CrashRecovered))
-		}
-		if r.CrashAffected == 0 {
-			out = append(out, fmt.Sprintf("%s: crash event with empty blast radius", label))
-		}
-		if r.RemountSize < r.AckedBytes {
-			out = append(out, fmt.Sprintf("%s: remounted WAL is %d bytes but fsync acknowledged %d (lost %d acked bytes)",
-				label, r.RemountSize, r.AckedBytes, r.AckedBytes-r.RemountSize))
+		for _, d := range experiments.CrashViolations(e) {
+			out = append(out, lr.label+": "+d)
 		}
 	}
 	return out
 }
 
 // checkBoundedQueue: no pool's admission queue may ever exceed its
-// configured cap — the backpressure bound that load shedding exists to
-// enforce.
+// configured cap (experiments.BoundedQueueViolations, the overload
+// sweep's check too).
 func checkBoundedQueue(o *Outcome) []string {
-	var out []string
-	for _, lr := range o.runs() {
-		for _, a := range lr.res.Admission {
-			if a.Stats.MaxQueued > a.QueueCap {
-				out = append(out, fmt.Sprintf("%s: pool %s max queued %d exceeds cap %d",
-					lr.label, a.Tenant, a.Stats.MaxQueued, a.QueueCap))
-			}
-		}
-	}
-	return out
+	return eachAdmission(o, experiments.BoundedQueueViolations)
 }
 
 // checkAdmissionAccounting: every operation offered to a pool's
-// admission controller must be accounted exactly once — admitted, shed,
-// or still in flight at drain (which itself must be zero once the
-// engine has drained every workload).
+// admission controller must be accounted exactly once, and none may be
+// in flight or queued at drain (experiments.AdmissionAccountingViolations,
+// the overload sweep's check too).
 func checkAdmissionAccounting(o *Outcome) []string {
+	return eachAdmission(o, experiments.AdmissionAccountingViolations)
+}
+
+// eachAdmission runs one admission check over every pool snapshot of
+// every run, labelling details with the run.
+func eachAdmission(o *Outcome, check func(experiments.TenantAdmission) []string) []string {
 	var out []string
 	for _, lr := range o.runs() {
 		for _, a := range lr.res.Admission {
-			if a.Stats.Offered != a.Stats.Admitted+a.Stats.Shed+uint64(a.Stats.InFlight) {
-				out = append(out, fmt.Sprintf("%s: pool %s offered %d != admitted %d + shed %d + in-flight %d",
-					lr.label, a.Tenant, a.Stats.Offered, a.Stats.Admitted, a.Stats.Shed, a.Stats.InFlight))
-			}
-			if a.Stats.InFlight != 0 || a.Stats.Queued != 0 {
-				out = append(out, fmt.Sprintf("%s: pool %s drained with %d in flight, %d queued",
-					lr.label, a.Tenant, a.Stats.InFlight, a.Stats.Queued))
+			for _, d := range check(a) {
+				out = append(out, lr.label+": "+d)
 			}
 		}
 	}

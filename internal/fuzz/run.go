@@ -5,23 +5,16 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/blame"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/experiments"
-	"repro/internal/faults"
-	"repro/internal/kern"
-	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/vfsapi"
 	"repro/internal/workloads"
 )
 
@@ -101,11 +94,7 @@ type Result struct {
 
 // TenantAdmission is one pool's admission snapshot for the bounded-
 // queue and admission-accounting checkers.
-type TenantAdmission struct {
-	Tenant   string
-	QueueCap int
-	Stats    vfsapi.AdmissionStats
-}
+type TenantAdmission = experiments.TenantAdmission
 
 // TelOpCount is one (tenant, op) aggregate in the telemetry-consistency
 // comparison: the same shape is filled from the monitor's windowed
@@ -147,91 +136,60 @@ func (sc Scenario) scale() experiments.Scale {
 	return experiments.Scale{Factor: sc.Factor, Duration: sc.Duration, Warmup: sc.Warmup}
 }
 
-// victimFaultStats sums fault counters over every distinct client and
-// kernel Ceph store mounted in the pool. Shared clients and shared
-// kernel mounts (scaleup clones) are counted once. It stays independent
-// of core's registry harvest on purpose: fault-accounting compares the two.
-func victimFaultStats(pool *core.Pool) metrics.FaultCounters {
-	var total metrics.FaultCounters
-	seen := map[interface{}]bool{}
-	for _, cont := range pool.Containers() {
-		if c := cont.Mount.Client; c != nil && !seen[c] {
-			seen[c] = true
-			total.Add(c.FaultStats())
-		}
-		if m := cont.Mount.KernelMount; m != nil && !seen[m] {
-			seen[m] = true
-			if cs, ok := m.Store().(*kern.CephStore); ok {
-				total.Add(cs.FaultStats())
-			}
-		}
-	}
-	return total
-}
-
-// scenarioTestbed builds the bare testbed a scenario runs on: two
-// cores per pool, the scale's cost model, the admission policy when
-// the scenario bounds queues, and its replication level. Observers
-// attach to it before scenarioPools creates any pool.
-func scenarioTestbed(sc Scenario) *core.Testbed {
-	var pol *core.OverloadPolicy
-	if sc.AdmitQueue > 0 {
-		pol = &core.OverloadPolicy{QueueCap: sc.AdmitQueue, RetrySeed: uint64(sc.Seed)}
-	}
-	tb := core.NewTestbed(core.TestbedConfig{Cores: 2 * (1 + len(sc.Tenants)), Params: sc.scale().Params(), Overload: pol})
-	tb.Cluster.SetReplication(sc.Replication)
-	return tb
-}
-
-// scenarioPools creates the victim pool and container (plus its
-// scaleup clone when SharedMount is set) and, with tenants set, one
-// pool and container per co-tenant, in tenant order. Without tenants
-// the host stays identically sized: the isolation baseline.
-func scenarioPools(tb *core.Testbed, sc Scenario, tenants bool) (*core.Pool, *core.Container, []*core.Container) {
-	poolMem := sc.scale().PoolMem()
+// spec compiles the scenario into the experiments runner's form: the
+// victim pool (plus its scaleup clone when SharedMount is set) and,
+// with tenants set, one pool per co-tenant in tenant order. Without
+// tenants the host stays identically sized: the isolation baseline.
+// The victim runs the WAL fsync writer and the cold backend reader,
+// plus the open-loop aggressor when OfferedLoad is set; the run keeps
+// its own recorder, outside any harness export.
+func (sc Scenario) spec(tenants bool) experiments.Scenario {
+	scale := sc.scale()
 	var cacheBytes int64
 	if sc.CacheFrac > 0 {
-		cacheBytes = poolMem / int64(sc.CacheFrac)
+		cacheBytes = scale.PoolMem() / int64(sc.CacheFrac)
 	}
-	if err := tb.Cluster.ProvisionDir("/containers/victim"); err != nil {
-		panic(err)
+	// The cold file overflows every cache tier so victim reads keep
+	// hitting the backend through any fault window.
+	coldSize := scale.PoolMem() + scale.PoolMem()/2
+	const walOp = 64 << 10
+	const readChunk = 256 << 10
+	s := experiments.Scenario{
+		Scale: scale, Cores: 2 * (1 + len(sc.Tenants)), Replication: sc.Replication,
+		Private: true,
+		Pools: []experiments.PoolSpec{{
+			Name: "victim", Config: sc.Config, CacheBytes: cacheBytes, Clone: sc.SharedMount, Prep: "prep-victim",
+			Files: []experiments.File{{Path: "/wal", Size: 0, Chunk: walOp}, {Path: "/cold", Size: coldSize, Chunk: 1 << 20}},
+		}},
+		Schedule: sc.Schedule + ";" + sc.Crash,
+		Probes: []experiments.Probe{
+			{Kind: experiments.WALProbe, Pool: 0, Path: "/wal", Chunk: walOp},
+			{Kind: experiments.SeqProbe, Name: "cold-reader", Pool: 0, Path: "/cold", Size: coldSize, Chunk: readChunk},
+		},
 	}
-	victimPool := tb.NewPool("victim", cpu.MaskRange(0, 2), poolMem)
-	victim, err := victimPool.NewContainer("victim", core.MountSpec{
-		Config: sc.Config, UpperDir: "/containers/victim", CacheBytes: cacheBytes,
-	})
-	if err != nil {
-		panic(err)
+	if sc.AdmitQueue > 0 {
+		s.Overload = &core.OverloadPolicy{QueueCap: sc.AdmitQueue, RetrySeed: uint64(sc.Seed)}
 	}
-	if sc.SharedMount {
-		// A scaleup clone: same image, same client/kernel mount. It
-		// runs no workload of its own; its presence exercises the
-		// shared-mount accounting paths.
-		if _, err := victimPool.NewContainer("victim-clone", core.MountSpec{
-			Config: sc.Config, UpperDir: "/containers/victim", CacheBytes: cacheBytes,
-			SharedClient: victim.Mount.Client, SharedKernelMount: victim.Mount.KernelMount,
-		}); err != nil {
-			panic(err)
-		}
+	if sc.TraceReplay {
+		s.Capture = sc.Config.String()
+	}
+	if sc.OfferedLoad > 0 {
+		s.Probes = append(s.Probes, experiments.Probe{
+			Kind: experiments.OpenProbe, Pool: 0, Path: "/cold", Size: coldSize, Chunk: readChunk,
+			Rate: float64(sc.OfferedLoad), Seed: workloads.StreamSeed(sc.Seed, "openloop", 0),
+		})
 	}
 	if !tenants {
-		return victimPool, victim, nil
+		return s
 	}
-	conts := make([]*core.Container, len(sc.Tenants))
-	for i := range sc.Tenants {
-		dir := fmt.Sprintf("/containers/t%d", i)
-		if err := tb.Cluster.ProvisionDir(dir); err != nil {
-			panic(err)
-		}
-		pool := tb.NewPool(fmt.Sprintf("t%d", i), cpu.MaskRange(2+2*i, 4+2*i), poolMem)
-		conts[i], err = pool.NewContainer(fmt.Sprintf("t%d", i), core.MountSpec{
-			Config: sc.Config, UpperDir: dir, CacheBytes: cacheBytes,
+	for i, t := range sc.Tenants {
+		dir := map[string]string{"fileserver": "/flsdata", "webserver": "/webdata", "kvput": "/kv", "randio": fmt.Sprintf("/rnd%d", i)}[t.Workload]
+		s.Pools = append(s.Pools, experiments.PoolSpec{
+			Name: fmt.Sprintf("t%d", i), Config: sc.Config, CacheBytes: cacheBytes, Prep: fmt.Sprintf("prep-t%d", i),
+			Tenant: &experiments.TenantLoad{Workload: t.Workload, Dir: dir, Threads: t.Threads, Seed: workloads.StreamSeed(sc.Seed, t.Workload, i)},
 		})
-		if err != nil {
-			panic(err)
-		}
 	}
-	return victimPool, victim, conts
+	return s
 }
 
 // RunScenario executes one scenario on a fresh testbed and collects
@@ -239,11 +197,6 @@ func scenarioPools(tb *core.Testbed, sc Scenario, tenants bool) (*core.Pool, *co
 // their pools) are omitted while the host stays identically sized —
 // the isolation baseline the victim is compared against.
 func RunScenario(sc Scenario, solo bool) *Result {
-	scale := sc.scale()
-	tb := scenarioTestbed(sc)
-	rec := obs.New(obs.Config{Clock: tb.Eng.Now})
-	tb.AttachObserver(rec)
-
 	var mon *telemetry.Monitor
 	if sc.Telemetry {
 		// Fast windows at 1/8 of the measurement window give every run a
@@ -258,234 +211,32 @@ func RunScenario(sc Scenario, solo bool) *Result {
 				{Name: "err-burn", Budget: 0.02, FireBurn: 2, ClearBurn: 1, MinOps: 1},
 			},
 		})
-		tb.AttachMonitor(mon)
 	}
+	s := sc.spec(!solo)
+	s.Monitor = mon
+	run := experiments.RunScenario(s)
 
-	var capRec *trace.Recorder
-	if sc.TraceReplay {
-		capRec = trace.NewRecorder(sc.Config.String(), 0)
-		capRec.Attach(rec)
+	writer, reader := run.Stats[0], run.Stats[1]
+	crash := run.Crash()
+	res := &Result{
+		WriteOps: writer.Ops.Ops, ReadOps: reader.Ops.Ops,
+		Errors:    writer.Errors + reader.Errors,
+		WriteMean: writer.Latency.Mean(), ReadMean: reader.Latency.Mean(),
+		AckedBytes: run.Acked, StoredBytes: run.Stored,
+		Admission:   run.Admission,
+		CrashEvents: crash.Events, CrashRecovered: crash.Recovered, CrashAffected: crash.Affected,
+		RemountSize: run.Remount,
+		Faults:      run.Faults,
+		Trace:       run.Trace,
 	}
-
-	res := &Result{}
-	victimPool, victim, tenants := scenarioPools(tb, sc, !solo)
-
-	// The cold file overflows every cache tier so victim reads keep
-	// hitting the backend through any fault window.
-	coldSize := scale.PoolMem() + scale.PoolMem()/2
-	const walOp = 64 << 10
-	const readChunk = 256 << 10
-
-	tb.Eng.Go("master", func(p *sim.Proc) {
-		defer tb.Stop()
-
-		g := workloads.NewGroup(tb.Eng)
-		g.Go("prep-victim", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			workloads.PrepFile(ctx, victim.Mount.Default, "/wal", 0, walOp)
-			workloads.PrepFile(ctx, victim.Mount.Default, "/cold", coldSize, 1<<20)
-		})
-
-		type runner interface {
-			Run(g *workloads.Group, clock workloads.Clock)
-		}
-		runners := make([]runner, len(tenants))
-		dbs := make([]*kvstore.DB, len(tenants))
-		for i, cont := range tenants {
-			i, cont, spec := i, cont, sc.Tenants[i]
-			fs := cont.Mount.Default
-			if spec.Workload == "randio" {
-				// The paper's noisy neighbour runs on the local ext4
-				// array through the shared kernel.
-				fs = kern.NewSyscalls(tb.Kernel, tb.LocalFS)
-			}
-			seed := workloads.StreamSeed(sc.Seed, spec.Workload, i)
-			g.Go(fmt.Sprintf("prep-t%d", i), func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
-				switch spec.Workload {
-				case "fileserver":
-					w := &workloads.Fileserver{
-						FS: fs, Dir: "/flsdata", NewThread: cont.NewThread,
-						Seed: seed, Threads: spec.Threads,
-						Files: 12, MeanFileSize: 256 << 10,
-					}
-					w.Defaults(scale.Factor)
-					if err := w.Prepare(ctx); err != nil {
-						panic(err)
-					}
-					runners[i] = w
-				case "webserver":
-					w := &workloads.Webserver{
-						FS: fs, Dir: "/webdata", NewThread: cont.NewThread,
-						Seed: seed, Threads: spec.Threads, Files: 100,
-					}
-					w.Defaults(scale.Factor)
-					if err := w.Prepare(ctx); err != nil {
-						panic(err)
-					}
-					runners[i] = w
-				case "kvput":
-					db, err := kvstore.Open(ctx, kvstore.Config{
-						FS: fs, Dir: "/kv", MemtableBytes: 4 << 20,
-						Eng: tb.Eng, Params: tb.Params, NewThread: cont.NewThread,
-					})
-					if err != nil {
-						panic(err)
-					}
-					dbs[i] = db
-					runners[i] = &workloads.KVPut{
-						DB: db, TotalBytes: 4 << 20, ValueSize: 64 << 10,
-						Threads: spec.Threads, Seed: seed, NewThread: cont.NewThread,
-						Stats: workloads.NewStats(),
-					}
-				case "randio":
-					w := &workloads.RandomIO{
-						FS: fs, Path: fmt.Sprintf("/rnd%d", i), NewThread: cont.NewThread,
-						Seed: seed, Threads: spec.Threads, FileSize: 8 << 20,
-					}
-					w.Defaults(scale.Factor)
-					if err := w.Prepare(ctx); err != nil {
-						panic(err)
-					}
-					runners[i] = w
-				default:
-					panic("fuzz: unknown tenant workload " + spec.Workload)
-				}
-			})
-		}
-		g.Wait(p)
-
-		now := tb.Eng.Now()
-		clock := workloads.Clock{Eng: tb.Eng, From: now + sc.Warmup, Stop: now + sc.Warmup + sc.Duration}
-
-		walNode, err := tb.Cluster.Tree().Lookup("/containers/victim/wal")
-		if err != nil {
-			panic(err)
-		}
-		walIno := walNode.Ino
-		sched := sc.Schedule
-		if sc.Crash != "" {
-			if sched != "" {
-				sched += ";"
-			}
-			sched += sc.Crash
-		}
-		sched = strings.ReplaceAll(sched, "@wal",
-			strconv.Itoa(tb.Cluster.PlacementOf(walIno, 0)))
-		plan, err := faults.Parse(sched)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := faults.InstallWithTargets(tb.Eng, tb.Cluster, tb, plan, clock.From); err != nil {
-			panic(err)
-		}
-
-		// A crashed client invalidates its handles forever (replayable
-		// remount); recovery means reopening.
-		run := workloads.NewGroup(tb.Eng)
-		writer := &workloads.WALWriter{
-			FS: victim.Mount.Default, Path: "/wal", OpSize: walOp, NewThread: victim.NewThread,
-			Reopen: plan.ClientCrash(), Stats: workloads.NewStats(),
-		}
-		writer.Run(run, clock)
-		reader := &workloads.SeqReader{
-			Name: "cold-reader", FS: victim.Mount.Default, Path: "/cold", Size: coldSize, Chunk: readChunk,
-			NewThread: victim.NewThread, Reopen: plan.ClientCrash(), Stats: workloads.NewStats(),
-		}
-		reader.Run(run, clock)
-		var ol *workloads.OpenLoop
-		if sc.OfferedLoad > 0 {
-			ol = &workloads.OpenLoop{
-				FS: victim.Mount.Default, Path: "/cold", FileSize: coldSize,
-				OpSize: readChunk, Rate: float64(sc.OfferedLoad),
-				Seed:      workloads.StreamSeed(sc.Seed, "openloop", 0),
-				NewThread: victim.NewThread, Stats: workloads.NewStats(),
-			}
-			ol.Run(run, clock)
-		}
-		for i, w := range runners {
-			if w == nil {
-				panic(fmt.Sprintf("fuzz: tenant %d has no runner", i))
-			}
-			w.Run(run, clock)
-		}
-		run.Wait(p)
-
-		// A kvstore keeps a background compaction loop alive until closed;
-		// an open DB would re-arm its timer forever and the engine would
-		// never drain.
-		for i, db := range dbs {
-			if db != nil {
-				db.Close(vfsapi.Ctx{P: p, T: tenants[i].NewThread()})
-			}
-		}
-
-		// Collect durability evidence only after every fault window has
-		// disarmed: a crashed OSD still down at collection time would
-		// read as (transient) data loss.
-		var lastEnd time.Duration
-		for _, w := range plan.Windows {
-			if w.End > lastEnd {
-				lastEnd = w.End
-			}
-		}
-		if settle := clock.From + lastEnd + time.Millisecond; tb.Eng.Now() < settle {
-			p.Sleep(settle - tb.Eng.Now())
-		}
-
-		// Post-recovery remount evidence: a fresh handle on the WAL after
-		// every crash window has restarted shows the durable frontier an
-		// application would see on reopen.
-		if sc.Crash != "" {
-			ctx := vfsapi.Ctx{P: p, T: victim.NewThread()}
-			if h, oerr := victim.Mount.Default.Open(ctx, "/wal", vfsapi.RDONLY); oerr == nil {
-				res.RemountSize = h.Size()
-				h.Close(ctx)
-			}
-		}
-
-		res.WriteOps = writer.Stats.Ops.Ops
-		res.ReadOps = reader.Stats.Ops.Ops
-		res.Errors = writer.Stats.Errors + reader.Stats.Errors
-		res.WriteMean = writer.Stats.Latency.Mean()
-		res.ReadMean = reader.Stats.Latency.Mean()
-		res.AckedBytes = writer.Acked
-		res.StoredBytes = tb.Cluster.StoredSize(walIno)
-		res.Faults = victimFaultStats(victimPool)
-		if ol != nil {
-			res.OLOffered = ol.Offered
-			res.OLCompleted = ol.Completed
-			res.OLShed = ol.Shed
-			res.OLFailed = ol.Failed
-		}
-	})
-	tb.Eng.Run()
-
-	for _, ev := range tb.CrashLog() {
-		res.CrashEvents++
-		if ev.Recovered {
-			res.CrashRecovered++
-		}
-		res.CrashAffected += len(ev.Affected)
+	if ol := run.OpenLoop; ol != nil {
+		res.OLOffered, res.OLCompleted, res.OLShed, res.OLFailed = ol.Offered, ol.Completed, ol.Shed, ol.Failed
 	}
-
-	// Admission counters are final once the engine drains; pool order is
-	// creation order, so the snapshot list is deterministic.
-	for _, pl := range tb.Pools() {
-		if a := pl.Admission; a != nil {
-			res.Admission = append(res.Admission, TenantAdmission{
-				Tenant: pl.Name, QueueCap: a.QueueCap(), Stats: a.Stats(),
-			})
-		}
-	}
-
-	if capRec != nil {
-		res.Trace = capRec.Snapshot()
+	if res.Trace != nil {
 		res.TraceOps = len(res.Trace.Ops)
 		res.TraceHash = res.Trace.ScheduleHash()
 	}
-
-	rec.Finalize()
+	rec := run.TB.Obs
 	if mon != nil {
 		res.TelTotals = monitorOpCounts(mon)
 		res.TelRegistry = registryOpCounts(rec.Registry())
@@ -521,14 +272,12 @@ type TraceReplayRun struct {
 func replayTrace(sc Scenario, tr *trace.Trace) TraceReplayRun {
 	// The replay binds recorded ops to tenants only, so the scaleup
 	// clone, which issues none, is left out.
-	sc.SharedMount = false
-	tb := scenarioTestbed(sc)
-	_, victim, conts := scenarioPools(tb, sc, true)
-	bindings := map[string]trace.Binding{
-		"victim": {FS: victim.Mount.Default, NewThread: victim.NewThread},
-	}
+	s := sc.spec(true)
+	s.Pools[0].Clone = false
+	tb, conts := s.Testbed()
+	bindings := map[string]trace.Binding{}
 	for i, cont := range conts {
-		bindings[fmt.Sprintf("t%d", i)] = trace.Binding{FS: cont.Mount.Default, NewThread: cont.NewThread}
+		bindings[s.Pools[i].Name] = trace.Binding{FS: cont.Mount.Default, NewThread: cont.NewThread}
 	}
 
 	var replayed *trace.Trace

@@ -127,18 +127,10 @@ type Recorder struct {
 	finalizers []func(*Registry)
 	finalized  bool
 
-	// opSink, when set, receives one OpEvent per completed root request
-	// span (see OpDone). It is the feed of the trace recorder
-	// (internal/trace); nil means no per-op capture.
-	opSink func(OpEvent)
-
-	// telOp/telWait, when set, feed the live telemetry monitor
-	// (internal/telemetry via core.AttachMonitor). They coexist with
-	// opSink — trace capture and live monitoring can run in the same
-	// run — and share its contract: pure observations, no engine
-	// events, no extra clock reads beyond what OpDone already does.
-	telOp   func(OpEvent)
-	telWait func(victim, aggressor string, start, dur time.Duration)
+	// subs are the live-stream subscribers (trace capture, telemetry),
+	// in subscription order. Each is a pure observer: no engine events,
+	// no clock reads beyond what OpDone already does.
+	subs []*Subscriber
 }
 
 // Sym is an interned string id, resolvable with Recorder.Str. Ids are
@@ -214,39 +206,45 @@ type OpEvent struct {
 	Err     bool
 }
 
-// SetOpSink installs (or, with nil, removes) the per-op event sink.
-// The sink fires once per root request span as it completes, in engine
-// order. With no sink installed the capture path costs a single nil
-// check per op and reads no clock, preserving the
-// zero-overhead-when-disabled contract. Nil-safe.
-func (r *Recorder) SetOpSink(fn func(OpEvent)) {
-	if r == nil {
-		return
-	}
-	r.opSink = fn
+// Subscriber receives the recorder's live streams. Op fires once per
+// root request span as it completes, in engine order; Wait fires for
+// every wait attributed to a span, with the served (victim) tenant and
+// the tenant of the holder's span (aggressor, "" when none). Either
+// may be nil.
+type Subscriber struct {
+	Op   func(OpEvent)
+	Wait func(victim, aggressor string, start, dur time.Duration)
 }
 
-// SetTelemetrySinks installs (or, with nil, removes) the live
-// telemetry feeds: op receives the same OpEvent stream as the op sink,
-// wait receives cross-tenant wait attributions (victim charged,
-// aggressor blamed) as they are observed. Both coexist with SetOpSink.
-// Nil-safe.
-func (r *Recorder) SetTelemetrySinks(op func(OpEvent), wait func(victim, aggressor string, start, dur time.Duration)) {
+// Subscribe adds s to the recorder's subscribers and returns the
+// function that removes it again; subscribers are independent, so one
+// detaching leaves the others in place. With no subscriber the capture
+// path costs a single length check per op and reads no clock,
+// preserving the zero-overhead-when-disabled contract. Nil-safe.
+func (r *Recorder) Subscribe(s Subscriber) (detach func()) {
 	if r == nil {
-		return
+		return func() {}
 	}
-	r.telOp = op
-	r.telWait = wait
+	sub := &s
+	r.subs = append(r.subs, sub)
+	return func() {
+		for i, x := range r.subs {
+			if x == sub {
+				r.subs = append(r.subs[:i], r.subs[i+1:]...)
+				return
+			}
+		}
+	}
 }
 
-// OpDone feeds one completed operation to the op sink and the
-// telemetry sink. The traced facade calls it alongside Span.End with
-// the reissue parameters the span itself does not carry (path, flags,
-// offset, length) plus the bytes actually served. No-op when the
-// recorder, every sink, or the span is nil — nested facade crossings
-// pass a nil span, so only the root of a request is captured.
+// OpDone feeds one completed operation to the subscribers. The traced
+// facade calls it alongside Span.End with the reissue parameters the
+// span itself does not carry (path, flags, offset, length) plus the
+// bytes actually served. No-op when the recorder, the subscriber list,
+// or the span is nil — nested facade crossings pass a nil span, so
+// only the root of a request is captured.
 func (r *Recorder) OpDone(sp *Span, path, path2 string, flags int, off, n, served int64, err error) {
-	if r == nil || sp == nil || (r.opSink == nil && r.telOp == nil) {
+	if r == nil || sp == nil || len(r.subs) == 0 {
 		return
 	}
 	e := OpEvent{
@@ -254,11 +252,10 @@ func (r *Recorder) OpDone(sp *Span, path, path2 string, flags int, off, n, serve
 		Path: path, Path2: path2, Flags: flags, Offset: off, Len: n, Bytes: served,
 		Issue: sp.start, Latency: r.cfg.Clock() - sp.start, Err: err != nil,
 	}
-	if r.opSink != nil {
-		r.opSink(e)
-	}
-	if r.telOp != nil {
-		r.telOp(e)
+	for _, s := range r.subs {
+		if s.Op != nil {
+			s.Op(e)
+		}
 	}
 }
 
@@ -413,10 +410,12 @@ func (r *Recorder) Wait(proc int, kind, resource, holder string, holderID int, s
 			holderTenant = hs.tenant
 		}
 	}
-	// Telemetry sees every attributed wait, even once the bounded event
+	// Subscribers see every attributed wait, even once the bounded event
 	// buffer is full — the monitor aggregates online and stores O(1).
-	if r.telWait != nil {
-		r.telWait(s.tenant, holderTenant, start, dur)
+	for _, sub := range r.subs {
+		if sub.Wait != nil {
+			sub.Wait(s.tenant, holderTenant, start, dur)
+		}
 	}
 	if !r.room() {
 		return

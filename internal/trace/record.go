@@ -40,11 +40,12 @@ func NewRecorder(label string, maxOps int) *Recorder {
 // re-anchors either kind at its own epoch.
 func (r *Recorder) SetBase(t time.Duration) { r.base = t }
 
-// Attach installs the recorder as rec's op sink. Call before the
-// workload starts so the capture is complete; detach with
-// rec.SetOpSink(nil) to stop capturing (e.g. before teardown traffic).
-func (r *Recorder) Attach(rec *obs.Recorder) {
-	rec.SetOpSink(r.add)
+// Attach subscribes the recorder to rec's op stream. Call before the
+// workload starts so the capture is complete; call the returned detach
+// to stop capturing (e.g. before teardown traffic). Other subscribers
+// of rec, another capture included, are unaffected either way.
+func (r *Recorder) Attach(rec *obs.Recorder) (detach func()) {
+	return rec.Subscribe(obs.Subscriber{Op: r.add})
 }
 
 func (r *Recorder) add(e obs.OpEvent) {

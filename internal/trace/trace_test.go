@@ -148,6 +148,42 @@ func TestRecorderCapturesViaObsSink(t *testing.T) {
 	}
 }
 
+// TestTwoCapturesShareOneRecorder: two trace recorders subscribed to
+// one obs recorder each capture every op, and detaching one leaves the
+// other capturing (a second capture used to replace the first).
+func TestTwoCapturesShareOneRecorder(t *testing.T) {
+	var now time.Duration
+	rec := obs.New(obs.Config{Clock: func() time.Duration { return now }})
+	a, b := NewRecorder("a", 0), NewRecorder("b", 0)
+	a.Attach(rec)
+	detachB := b.Attach(rec)
+	op := func(proc int, path string) {
+		sp := rec.StartSpan(proc, "t0", "read")
+		now += 10
+		rec.OpDone(sp, path, "", 0, 0, 512, 512, nil)
+		sp.End(512, nil)
+	}
+	op(1, "/x")
+	op(2, "/y")
+	if a.Count() != 2 || b.Count() != 2 {
+		t.Fatalf("captured %d and %d ops, want 2 each", a.Count(), b.Count())
+	}
+	if ha, hb := a.Snapshot().ScheduleHash(), b.Snapshot().ScheduleHash(); ha != hb {
+		t.Fatalf("captures of one op stream differ: %s vs %s", ha, hb)
+	}
+	detachB()
+	op(3, "/z")
+	if a.Count() != 3 || b.Count() != 2 {
+		t.Fatalf("after detaching b: a=%d b=%d ops, want 3 and 2", a.Count(), b.Count())
+	}
+	// Detaching twice is harmless.
+	detachB()
+	op(4, "/w")
+	if a.Count() != 4 {
+		t.Fatalf("a stopped capturing after a repeated detach: %d ops", a.Count())
+	}
+}
+
 func TestOpSinkIgnoresNestedSpans(t *testing.T) {
 	rec := obs.New(obs.Config{Clock: func() time.Duration { return 0 }})
 	cap := NewRecorder("unit", 0)
