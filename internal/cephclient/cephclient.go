@@ -635,7 +635,11 @@ func (c *Client) markDirty(ctx vfsapi.Ctx, f *cfile, off, n int64) {
 	}
 	// The stopped check makes teardown safe: once the client's flusher
 	// threads have been stopped nobody can lower the dirty level, so a
-	// straggling writer must not spin on the threshold.
+	// straggling writer must not spin on the threshold. The loop stays
+	// on WaitTimeout rather than WaitUntil: each interval is charged as
+	// IO wait to the writer's account as it ends, and measurement windows
+	// read that account at their bounds, mid-throttle too, so an
+	// engine-side re-check would change the reported IO wait.
 	for c.dirtyBytes >= c.cfg.MaxDirty && !c.stopped {
 		start := c.eng.Now()
 		c.throttleQ.WaitTimeout(ctx.P, c.params.DirtyThrottleCheck)

@@ -286,11 +286,10 @@ func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 		var gOff, gLen int64
 		wait := false
 		c.lockedMeta(ctx, func() {
-			gaps := h.f.cached.Gaps(off, fetchLen)
-			if len(gaps) == 0 {
+			g, ok := h.f.cached.FirstGap(off, fetchLen)
+			if !ok {
 				return
 			}
-			g := gaps[0]
 			if h.f.fetching.Covered(g.Off, g.Len) > 0 {
 				wait = true
 				return
@@ -299,6 +298,11 @@ func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 			h.f.fetching.Insert(gOff, gLen)
 		})
 		if wait {
+			// Unlike the kernel page cache's fetch wait, this stays a
+			// process-side loop on WaitTimeout: each re-check takes
+			// client_lock and charges ClientLockHold, which an
+			// engine-side WaitUntil re-check could not do without
+			// changing simulated results.
 			c.fetchQ.WaitTimeout(ctx.P, c.params.DirtyThrottleCheck)
 			continue
 		}

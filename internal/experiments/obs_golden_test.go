@@ -15,11 +15,14 @@ import (
 // runObserved runs one fault-sweep case with an engine event counter
 // and, when sample >= 0, an attached recorder (sample is its
 // SampleInterval; 0 records spans but schedules no sampler events).
-// sample < 0 runs without any recorder.
-func runObserved(sample time.Duration) (FaultSweepRow, *obs.Recorder, int) {
+// sample < 0 runs without any recorder. It also returns the engine's
+// self-counters at the end of the run.
+func runObserved(sample time.Duration) (FaultSweepRow, *obs.Recorder, int, sim.Stats) {
 	var rec *obs.Recorder
+	var eng *sim.Engine
 	events := 0
 	Observer = func(tb *core.Testbed) {
+		eng = tb.Eng
 		tb.Eng.SetTracer(func(sim.TraceEvent) { events++ })
 		if sample >= 0 {
 			rec = obs.New(obs.Config{
@@ -32,7 +35,7 @@ func runObserved(sample time.Duration) (FaultSweepRow, *obs.Recorder, int) {
 	}
 	defer func() { Observer = nil }()
 	row := RunFaultSweep(FaultSweepCases(QuickScale)[0], QuickScale)
-	return row, rec, events
+	return row, rec, events, eng.Stats()
 }
 
 // TestObservabilityGolden runs the same recorded fault-sweep case
@@ -43,8 +46,8 @@ func TestObservabilityGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	row1, rec1, _ := runObserved(10 * time.Millisecond)
-	row2, rec2, _ := runObserved(10 * time.Millisecond)
+	row1, rec1, _, _ := runObserved(10 * time.Millisecond)
+	row2, rec2, _, _ := runObserved(10 * time.Millisecond)
 	if row1 != row2 {
 		t.Fatalf("recorded runs diverged:\n  %+v\nvs\n  %+v", row1, row2)
 	}
@@ -91,18 +94,28 @@ func TestObservabilityGolden(t *testing.T) {
 // disabled contract: a run with no recorder and a run with a recorder
 // whose sampler is off execute the exact same engine schedule (event
 // for event) and produce identical rows — the recorder only reads the
-// virtual clock.
+// virtual clock. The engine's self-counters are read on both runs and
+// must agree too: counting is part of the engine, not an observer.
 func TestObservabilityZeroOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rowOff, _, eventsOff := runObserved(-1)
-	rowOn, rec, eventsOn := runObserved(0)
+	rowOff, _, eventsOff, statsOff := runObserved(-1)
+	rowOn, rec, eventsOn, statsOn := runObserved(0)
 	if rowOff != rowOn {
 		t.Fatalf("recorder changed results:\n  %+v\nvs\n  %+v", rowOff, rowOn)
 	}
 	if eventsOff != eventsOn {
 		t.Fatalf("recorder changed the engine schedule: %d events without, %d with", eventsOff, eventsOn)
+	}
+	if statsOff != statsOn {
+		t.Fatalf("recorder changed the engine counters:\n  %+v\nvs\n  %+v", statsOff, statsOn)
+	}
+	if statsOn.TimeoutsArmed == 0 || statsOn.EventHeapHigh == 0 {
+		t.Fatalf("engine counters not counting: %+v", statsOn)
+	}
+	if statsOn.TimeoutsArmed != statsOn.TimeoutsCancelled+statsOn.TimeoutsFired+statsOn.TimeoutsPending {
+		t.Fatalf("timeout ledger does not balance: %+v", statsOn)
 	}
 	if len(rec.Slices()) == 0 {
 		t.Fatal("recorder with sampler off should still record spans")
@@ -146,7 +159,7 @@ func TestTelemetryZeroOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rowOff, _, eventsOff := runObserved(-1)
+	rowOff, _, eventsOff, _ := runObserved(-1)
 	rowOn, mon, eventsOn := runMonitored()
 	if rowOff != rowOn {
 		t.Fatalf("monitor changed results:\n  %+v\nvs\n  %+v", rowOff, rowOn)

@@ -96,13 +96,28 @@ func (s *Set) Remove(off, n int64) int64 {
 func (s *Set) Covered(off, n int64) int64 {
 	var t int64
 	probe := Extent{Off: off, Len: n}
-	for _, e := range s.ext {
+	for _, e := range s.ext[s.endAfter(off):] {
 		if e.Off >= probe.End() {
 			break
 		}
 		t += overlap(e, probe)
 	}
 	return t
+}
+
+// endAfter returns the index of the first extent ending after off
+// (len(s.ext) if none): the first one that can overlap [off, ...).
+func (s *Set) endAfter(off int64) int {
+	lo, hi := 0, len(s.ext)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.ext[mid].End() > off {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Contains reports whether [off, off+n) is fully covered.
@@ -132,6 +147,26 @@ func (s *Set) Gaps(off, n int64) []Extent {
 		gaps = append(gaps, Extent{Off: cur, Len: end - cur})
 	}
 	return gaps
+}
+
+// FirstGap returns the lowest subrange of [off, off+n) NOT covered by
+// the set — Gaps(off, n)[0] without building the slice — and whether
+// there is one.
+func (s *Set) FirstGap(off, n int64) (Extent, bool) {
+	end := off + n
+	cur := off
+	i := s.endAfter(off)
+	for ; i < len(s.ext) && s.ext[i].Off <= cur; i++ {
+		cur = s.ext[i].End()
+	}
+	if cur >= end {
+		return Extent{}, false
+	}
+	gapEnd := end
+	if i < len(s.ext) && s.ext[i].Off < end {
+		gapEnd = s.ext[i].Off
+	}
+	return Extent{Off: cur, Len: gapEnd - cur}, true
 }
 
 // PopFirst removes and returns up to max bytes from the lowest-offset

@@ -249,3 +249,43 @@ func TestClear(t *testing.T) {
 		t.Fatal("set unusable after clear")
 	}
 }
+
+// TestFirstGapAndCoveredMatchReference checks the binary-searched
+// lookups on random sets: FirstGap must equal the first element of
+// Gaps (and report no gap exactly when Gaps is empty), and Covered must
+// match the bitmap oracle, for probes that start before, inside,
+// between and after the extents, including empty probes.
+func TestFirstGapAndCoveredMatchReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var s Set
+		var m bitmapModel
+		for step := 0; step < 100; step++ {
+			off, n := rng.Int63n(200), rng.Int63n(56)+1
+			if rng.Intn(3) == 0 {
+				s.Remove(off, n)
+				m.remove(off, n)
+			} else {
+				s.Insert(off, n)
+				m.insert(off, n)
+			}
+			for probe := 0; probe < 8; probe++ {
+				off, n := rng.Int63n(200), rng.Int63n(57)
+				gaps := s.Gaps(off, n)
+				g, ok := s.FirstGap(off, n)
+				if ok != (len(gaps) > 0) || ok && g != gaps[0] {
+					t.Logf("FirstGap(%d,%d) = %v,%v; Gaps = %v; set %v", off, n, g, ok, gaps, s.Extents())
+					return false
+				}
+				if c := s.Covered(off, n); c != m.covered(off, n) {
+					t.Logf("Covered(%d,%d) = %d, want %d; set %v", off, n, c, m.covered(off, n), s.Extents())
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -323,6 +323,11 @@ func (m *Mount) markDirty(ctx vfsapi.Ctx, f *fileState, off, n int64) {
 		if pause > 200*time.Millisecond {
 			pause = 200 * time.Millisecond
 		}
+		// This wait and the loop below stay on WaitTimeout rather than
+		// WaitUntil: each interval is charged as IO wait to the writer's
+		// account as it ends, and measurement windows read that account
+		// at their bounds, mid-throttle too, so an engine-side re-check
+		// would change the reported IO wait.
 		if pause > 0 {
 			start := k.eng.Now()
 			m.throttleQ.WaitTimeout(ctx.P, pause)

@@ -161,6 +161,18 @@ func (h *pagedHandle) failIfStale(ctx vfsapi.Ctx) error {
 	return nil
 }
 
+// stale reports whether failIfStale would fail, without charging.
+func (h *pagedHandle) stale() bool {
+	return h.closed || h.m.crashed || h.gen != h.m.gen
+}
+
+// fetchInFlight reports whether the first uncached range of
+// [off, off+n) overlaps a fetch another reader has in flight.
+func (h *pagedHandle) fetchInFlight(off, n int64) bool {
+	g, ok := h.f.cached.FirstGap(off, n)
+	return ok && h.f.fetching.Covered(g.Off, g.Len) > 0
+}
+
 // Path returns the open path.
 func (h *pagedHandle) Path() string { return h.path }
 
@@ -223,13 +235,17 @@ func (h *pagedHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 			// from the dead store.
 			return 0, err
 		}
-		gaps := h.f.cached.Gaps(off, fetchLen)
-		if len(gaps) == 0 {
+		g, ok := h.f.cached.FirstGap(off, fetchLen)
+		if !ok {
 			break
 		}
-		g := gaps[0]
 		if h.f.fetching.Covered(g.Off, g.Len) > 0 {
-			m.fetchQ.WaitTimeout(ctx.P, params.DirtyThrottleCheck)
+			// Every fetch completion broadcasts on the mount-wide queue;
+			// the engine re-checks this reader's range on each wake and
+			// resumes it only once it can fail or claim its gap.
+			m.fetchQ.WaitUntil(ctx.P, params.DirtyThrottleCheck, func() bool {
+				return h.stale() || !h.fetchInFlight(off, fetchLen)
+			})
 			continue
 		}
 		h.f.fetching.Insert(g.Off, g.Len)

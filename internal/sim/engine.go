@@ -21,6 +21,7 @@ type Engine struct {
 	now    time.Duration
 	seq    uint64
 	events eventHeap
+	timers timerHeap // pending WaitQueue timeouts, merged with events by (at, seq)
 
 	// deadline is the bound of the RunUntil call currently draining the
 	// heap (negative: run to exhaustion). Processes consult it when
@@ -38,6 +39,38 @@ type Engine struct {
 
 	tracer  func(TraceEvent) // optional observer, see SetTracer
 	waitObs WaitFn           // optional wait observer, see SetWaitObserver
+
+	stats Stats
+}
+
+// Stats counts the engine's own work. The counters are always on and
+// are plain increments, so reading them never changes the schedule.
+type Stats struct {
+	// Callbacks and Resumes count the events traced as TraceCallback
+	// and TraceResume. An absorbed WaitUntil wake is a callback.
+	Callbacks uint64
+	Resumes   uint64
+	// WakesAbsorbed counts WaitUntil wakes whose re-check found the
+	// condition still false: the waiter was re-queued by the engine
+	// without a goroutine switch.
+	WakesAbsorbed uint64
+	// Timeouts of WaitTimeout and WaitUntil waits. Every armed timeout
+	// is cancelled by an earlier wake, fires, or is still pending:
+	// TimeoutsArmed == TimeoutsCancelled + TimeoutsFired + TimeoutsPending.
+	TimeoutsArmed     uint64
+	TimeoutsCancelled uint64
+	TimeoutsFired     uint64
+	TimeoutsPending   uint64
+	// High-water marks of the event heap and the timer heap.
+	EventHeapHigh int
+	TimerHeapHigh int
+}
+
+// Stats returns the engine's self-counters so far.
+func (e *Engine) Stats() Stats {
+	s := e.stats
+	s.TimeoutsPending = uint64(len(e.timers))
+	return s
 }
 
 // WaitFn observes one completed wait interval of a process: kind names
@@ -132,8 +165,15 @@ func (e *Engine) Run() {
 // clock to deadline. A negative deadline means run to exhaustion.
 func (e *Engine) RunUntil(deadline time.Duration) {
 	e.deadline = deadline
-	for len(e.events) > 0 {
-		if deadline >= 0 && e.events[0].at > deadline {
+	for {
+		if e.timerFirst() {
+			if deadline >= 0 && e.timers[0].at > deadline {
+				break
+			}
+			e.fireTimer()
+			continue
+		}
+		if len(e.events) == 0 || deadline >= 0 && e.events[0].at > deadline {
 			break
 		}
 		ev := e.pop()
@@ -143,9 +183,14 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 		switch {
 		case ev.fn != nil:
 			e.trace(TraceEvent{At: e.now, Kind: TraceCallback})
+			e.stats.Callbacks++
 			ev.fn()
 		case ev.p != nil:
+			if ev.p.until != nil && ev.p.until.recheck() {
+				continue
+			}
 			e.trace(TraceEvent{At: e.now, Kind: TraceResume, Proc: ev.p.name, ProcID: ev.p.id})
+			e.stats.Resumes++
 			e.resumeProc(ev.p)
 		}
 	}
@@ -200,6 +245,9 @@ func (e *Engine) push(ev event) {
 	e.seq++
 	ev.seq = e.seq
 	e.events.push(ev)
+	if n := len(e.events); n > e.stats.EventHeapHigh {
+		e.stats.EventHeapHigh = n
+	}
 }
 
 func (e *Engine) pop() event { return e.events.pop() }

@@ -20,6 +20,10 @@ type Proc struct {
 	// wakeReason carries out-of-band information from whoever woke the
 	// process (e.g. whether a timed wait expired).
 	wakeReason wakeReason
+
+	// until is the WaitUntil wait p is parked in, if any: the engine
+	// re-checks its condition when p's wake is popped.
+	until *qWaiter
 }
 
 type wakeReason int
@@ -51,7 +55,8 @@ func (p *Proc) Park() { p.park() }
 //
 // Fast path: before paying the two channel handoffs of a goroutine
 // round trip, the parking process executes elidable pending events
-// inline — engine callbacks, and its own wake. These are exactly the
+// inline — engine callbacks, timeouts, WaitUntil wakes whose re-check
+// fails (see qWaiter.recheck), and its own wake. These are exactly the
 // events the engine loop would process next, popped in identical heap
 // order with identical clock, trace, and seq effects, so the inline
 // path is indistinguishable from the parked one except in wall-clock
@@ -61,9 +66,15 @@ func (p *Proc) Park() { p.park() }
 func (p *Proc) park() wakeReason {
 	e := p.eng
 	handedOff := false
-	for !handedOff && len(e.events) > 0 {
-		top := &e.events[0]
-		if e.deadline >= 0 && top.at > e.deadline {
+	for !handedOff {
+		if e.timerFirst() {
+			if e.deadline >= 0 && e.timers[0].at > e.deadline {
+				break
+			}
+			e.fireTimer()
+			continue
+		}
+		if len(e.events) == 0 || e.deadline >= 0 && e.events[0].at > e.deadline {
 			break
 		}
 		ev := e.pop()
@@ -72,13 +83,19 @@ func (p *Proc) park() wakeReason {
 		}
 		if ev.fn != nil {
 			e.trace(TraceEvent{At: e.now, Kind: TraceCallback})
+			e.stats.Callbacks++
 			ev.fn()
 			continue
 		}
-		if ev.p == p {
+		q := ev.p
+		if q.until != nil && q.until.recheck() {
+			continue
+		}
+		e.trace(TraceEvent{At: e.now, Kind: TraceResume, Proc: q.name, ProcID: q.id})
+		e.stats.Resumes++
+		if q == p {
 			// Own wake reached: resume inline, never having parked.
 			p.pendingWake = false
-			e.trace(TraceEvent{At: e.now, Kind: TraceResume, Proc: p.name, ProcID: p.id})
 			r := p.wakeReason
 			p.wakeReason = wakeNormal
 			return r
@@ -86,12 +103,10 @@ func (p *Proc) park() wakeReason {
 		// The next event resumes another process: switch to it
 		// directly — one goroutine handoff instead of two via the
 		// engine loop.
-		q := ev.p
 		if q.done {
 			panic(fmt.Sprintf("sim: resuming finished proc %s", q.name))
 		}
 		q.pendingWake = false
-		e.trace(TraceEvent{At: e.now, Kind: TraceResume, Proc: q.name, ProcID: q.id})
 		e.running = q
 		q.resume <- struct{}{}
 		handedOff = true
