@@ -522,11 +522,12 @@ func (c *Client) lockedMeta(ctx vfsapi.Ctx, fn func()) {
 // socket syscalls (kernel mode on the caller's cores), protocol CPU,
 // and the user-level message checksum.
 func (c *Client) wire(ctx vfsapi.Ctx, n int64) {
-	ctx.T.ModeSwitch(ctx.P)
-	ctx.T.Exec(ctx.P, cpu.Kernel, c.params.NetOpCost)
-	ctx.T.ExecBytes(ctx.P, cpu.Kernel, n, c.params.NetCPUBytesPerSec)
-	ctx.T.ModeSwitch(ctx.P)
-	ctx.T.ExecBytes(ctx.P, cpu.User, n, c.params.ChecksumBytesPerSec)
+	t := ctx.T
+	c.cpus.ExecSeq(ctx.P, t.ModeSwitchSeg(),
+		t.Seg(cpu.Kernel, c.params.NetOpCost),
+		t.BytesSeg(cpu.Kernel, n, c.params.NetCPUBytesPerSec),
+		t.ModeSwitchSeg(),
+		t.BytesSeg(cpu.User, n, c.params.ChecksumBytesPerSec))
 }
 
 // copyData charges a data copy of n bytes, a fraction of it while

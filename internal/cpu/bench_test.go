@@ -61,3 +61,26 @@ func BenchmarkExecContended(b *testing.B) {
 	b.ResetTimer()
 	eng.Run()
 }
+
+// BenchmarkExecSeqContended time-shares one core between four threads
+// that each run FUSE-crossing-shaped bursts (mode switch, request work,
+// context switch), so most segment boundaries hand the core through the
+// runqueue. The pooled bursts keep it allocation-free.
+func BenchmarkExecSeqContended(b *testing.B) {
+	eng := sim.NewEngine()
+	c := New(eng, model.Default(), 1)
+	acct := NewAccount("bench")
+	const threads = 4
+	per := b.N/threads + 1
+	for i := 0; i < threads; i++ {
+		th := c.NewThread(acct, MaskOf(0))
+		eng.Go("bench", func(p *sim.Proc) {
+			for j := 0; j < per; j++ {
+				c.ExecSeq(p, th.ModeSwitchSeg(), th.Seg(Kernel, 20*time.Microsecond), th.ContextSwitchSeg())
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+}

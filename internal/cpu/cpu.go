@@ -24,16 +24,16 @@ type CPU struct {
 	eng     *sim.Engine
 	params  *model.Params
 	cores   []coreState
-	waiters []*waiter
+	waiters []*burst // FIFO runqueue: bursts waiting for a core
 	all     Mask
 	groupSz int
 	scanRR  int // rotating scan start spreads load across idle cores
 
-	// runPool recycles execRun states (and their step closures) across
-	// coalesced Exec calls, keeping the scheduler hot path free of
-	// per-call allocations. Safe without locking: exactly one goroutine
-	// runs at any instant in the simulation.
-	runPool []*execRun
+	// burstPool recycles burst states (their segment storage and bound
+	// callbacks), keeping the scheduler hot path free of per-call
+	// allocations. Safe without locking: exactly one goroutine runs at
+	// any instant in the simulation.
+	burstPool []*burst
 
 	rec *obs.Recorder
 }
@@ -68,12 +68,6 @@ type coreState struct {
 	busy     bool
 	busyTime time.Duration
 	occupant *Account // account running on the core while busy
-}
-
-type waiter struct {
-	p        *sim.Proc
-	th       *Thread
-	assigned int
 }
 
 // New creates a processor with n cores grouped in pairs sharing cache
@@ -152,153 +146,253 @@ func (t *Thread) Account() *Account { return t.acct }
 // affinity mask, waiting FIFO for a core when all are busy and yielding
 // the core every scheduler quantum.
 //
-// Multi-quantum runs are coalesced: the process parks once and the
-// per-quantum bookkeeping (charging, release, re-acquire) runs as
-// engine-loop callbacks, so an uncontended 10ms Exec costs one
-// park/resume round trip instead of one per quantum. The callbacks
-// mirror the slice-per-quantum loop event for event — see the execRun
-// invariants — so virtual-time results are bit-identical.
+// An uncontended Exec of at most one quantum is a plain Sleep on the
+// acquired core. Any other Exec — longer than a quantum, or queued
+// behind busy cores — runs as a one-segment burst: the process parks
+// once and the quantum boundaries and runqueue handoffs run as engine
+// callbacks. See burst for why the results are bit-identical to
+// slicing the work one Sleep per quantum.
 func (t *Thread) Exec(p *sim.Proc, k TimeKind, d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	c := t.cpu
-	core := c.acquire(p, t)
-	if d > c.params.Quantum {
-		c.runCoalesced(p, t, k, core, d)
+	core, ok := c.tryAcquire(t)
+	if ok && d <= c.params.Quantum {
+		p.Sleep(d)
+		c.charge(p, t, k, core, d)
+		c.release(core)
 		return
 	}
-	p.Sleep(d)
+	b := c.getBurst(p)
+	b.segs = append(b.segs, t.Seg(k, d))
+	b.i, b.last, b.d = 0, 0, d
+	b.run(core, ok)
+}
+
+// Seg is one CPU charge of a burst run by ExecSeq. The Thread methods
+// Seg, BytesSeg, ModeSwitchSeg and ContextSwitchSeg build the segment
+// that mirrors Exec, ExecBytes, ModeSwitch and ContextSwitch.
+type Seg struct {
+	t    *Thread
+	kind TimeKind
+	d    time.Duration
+	sw   switchKind // account counter bumped before the charge
+}
+
+type switchKind uint8
+
+const (
+	noSwitch switchKind = iota
+	modeSwitch
+	contextSwitch
+)
+
+// Seg is the segment form of t.Exec(p, k, d).
+func (t *Thread) Seg(k TimeKind, d time.Duration) Seg { return Seg{t: t, kind: k, d: d} }
+
+// BytesSeg is the segment form of t.ExecBytes(p, k, n, bytesPerSec).
+func (t *Thread) BytesSeg(k TimeKind, n, bytesPerSec int64) Seg {
+	return t.Seg(k, model.RateTime(n, bytesPerSec))
+}
+
+// ModeSwitchSeg is the segment form of t.ModeSwitch(p).
+func (t *Thread) ModeSwitchSeg() Seg {
+	return Seg{t: t, kind: Kernel, d: t.cpu.params.ModeSwitchCost, sw: modeSwitch}
+}
+
+// ContextSwitchSeg is the segment form of t.ContextSwitch(p).
+func (t *Thread) ContextSwitchSeg() Seg {
+	return Seg{t: t, kind: Kernel, d: t.cpu.params.ContextSwitchCost, sw: contextSwitch}
+}
+
+// ExecSeq charges segs on p back to back. Its results are exactly those
+// of the sequence of Exec, ExecBytes, ModeSwitch and ContextSwitch calls
+// the segments mirror, but p parks once for the whole sequence: the
+// segments may run on different threads (a FUSE reply spans the daemon
+// thread and the application thread) and each boundary between them is
+// an engine callback, not a resume of p. Use it wherever charges follow
+// each other with no other simulation primitive in between.
+func (c *CPU) ExecSeq(p *sim.Proc, segs ...Seg) {
+	b := c.getBurst(p)
+	b.segs = append(b.segs, segs...)
+	b.i, b.last = -1, -1
+	for i := range b.segs {
+		if b.segs[i].d > 0 {
+			b.last = i
+		}
+	}
+	if !b.next() {
+		// Nothing to charge: the segments only bump counters.
+		c.putBurst(b)
+		return
+	}
+	core, ok := c.tryAcquire(b.segs[b.i].t)
+	b.run(core, ok)
+}
+
+// burst drives the CPU work of one process from its first core
+// acquisition to its last release: an ExecSeq, or an Exec that is
+// longer than a quantum or must queue. The process parks once. Slice
+// boundaries, segment boundaries and runqueue handoffs run as engine
+// callbacks, and only the wake of the last slice resumes the process.
+//
+// The chain is event-for-event identical to running each segment as its
+// own acquire → Sleep(slice) → release loop, one quantum at a time.
+// Wherever that loop pushed one engine event — the wake of a slice's
+// Sleep, or the wake by which release handed a freed core to a queued
+// process — the burst pushes one event with the same timestamp at the
+// same point in seq order: a callback, except for the last slice, whose
+// wake resumes the process. What the loop did in the process between
+// two such events (charge the slice, release the core, bump the next
+// segment's counter, try to acquire its core) happens in the same order
+// inside one callback. The event heap breaks timestamp ties by seq, so
+// the interleaving with every other process, and every virtual-time
+// result, is unchanged; the loop's resumes of this process become
+// callbacks one for one.
+type burst struct {
+	c     *CPU
+	p     *sim.Proc
+	segs  []Seg
+	i     int           // segment in flight
+	last  int           // index of the last segment with work
+	d     time.Duration // work left in segment i, including the in-flight slice
+	core  int           // core of the in-flight slice
+	slice time.Duration // length of the in-flight slice
+
+	// Reusable callbacks bound to this burst: the slice boundary, and
+	// the runqueue handoff a release pushes.
+	step, granted func()
+
+	// The runqueue wait in progress: when it began and the account to
+	// blame, captured at enqueue time.
+	queuedAt time.Duration
+	aggr     string
+}
+
+// run starts the burst on core (ok) or in the runqueue (!ok), parks p
+// until the last slice ends, then charges that slice and releases its
+// core exactly as the loop's last Sleep return did.
+func (b *burst) run(core int, ok bool) {
+	if ok {
+		b.core = core
+		b.arm()
+	} else {
+		b.enqueue()
+	}
+	b.p.Park()
+	c := b.c
+	s := &b.segs[b.i]
+	c.charge(b.p, s.t, s.kind, b.core, b.slice)
+	c.release(b.core)
+	b.next() // counters of trailing zero-length segments
+	c.putBurst(b)
+}
+
+// next moves to the next segment with work, bumping the account counter
+// of every segment it enters. It reports false when none is left.
+func (b *burst) next() bool {
+	for b.i++; b.i < len(b.segs); b.i++ {
+		s := &b.segs[b.i]
+		switch s.sw {
+		case modeSwitch:
+			s.t.acct.modeSwitches++
+		case contextSwitch:
+			s.t.acct.contextSwitches++
+		}
+		if s.d > 0 {
+			b.d = s.d
+			return true
+		}
+	}
+	return false
+}
+
+// arm starts the next slice of segment i on b.core. The last slice of
+// the burst hands its wake to the parked process; every other slice
+// ends in the step callback.
+func (b *burst) arm() {
+	c := b.c
+	if q := c.params.Quantum; b.d > q {
+		b.slice = q
+		c.eng.After(q, b.step)
+		return
+	}
+	b.slice = b.d
+	if b.i == b.last {
+		c.eng.ScheduleWakeAfter(b.p, b.slice)
+		return
+	}
+	c.eng.After(b.slice, b.step)
+}
+
+// fire is the step callback: charge the slice just run, release its
+// core, move on to the next segment if this one is done, and acquire a
+// core for what follows or queue for one.
+func (b *burst) fire() {
+	c := b.c
+	s := &b.segs[b.i]
+	c.charge(b.p, s.t, s.kind, b.core, b.slice)
+	b.d -= b.slice
+	c.release(b.core)
+	if b.d == 0 {
+		b.next() // true: the last slice of the burst never fires step
+	}
+	core, ok := c.tryAcquire(b.segs[b.i].t)
+	if !ok {
+		b.enqueue()
+		return
+	}
+	b.core = core
+	b.arm()
+}
+
+// enqueue queues the burst FIFO for a core for segment i. A later
+// release hands it one by pushing the granted callback.
+func (b *burst) enqueue() {
+	c := b.c
+	b.queuedAt = c.eng.Now()
+	b.aggr = ""
+	if c.eng.HasWaitObserver() {
+		b.aggr = c.runqAggressor(b.segs[b.i].t)
+	}
+	c.waiters = append(c.waiters, b)
+}
+
+// grant is the granted callback: release has set b.core. Report the
+// runqueue wait and start the slice.
+func (b *burst) grant() {
+	b.p.ReportWait("runq", "cpu", b.aggr, 0, b.c.eng.Now()-b.queuedAt)
+	b.arm()
+}
+
+// charge books the slice of length d that t just ran on core.
+func (c *CPU) charge(p *sim.Proc, t *Thread, k TimeKind, core int, d time.Duration) {
 	c.cores[core].busyTime += d
 	t.acct.addTime(k, d)
 	t.lastCore = core
 	c.recordSlice(core, d, t.acct, k)
 	p.ReportWait("run", "cpu", "", 0, d)
-	c.release(core)
 }
 
-// execRun drives one coalesced multi-quantum Exec. The owning process
-// parks once; per-quantum bookkeeping fires as engine callbacks via
-// step. The chain is constructed to be event-for-event identical to the
-// historical acquire/Sleep(quantum)/release loop: at every point where
-// that loop pushed exactly one engine event (the next Sleep wake, or a
-// waiter handoff inside release), the chain pushes exactly one event of
-// the same timestamp at the same position in engine seq order. Because
-// the event heap breaks timestamp ties by seq, this preserves the
-// simulation's event interleaving — and therefore its virtual-time
-// results — bit for bit.
-type execRun struct {
-	c     *CPU
-	p     *sim.Proc
-	t     *Thread
-	kind  TimeKind
-	core  int
-	d     time.Duration // remaining work, including the in-flight slice
-	slice time.Duration // length of the in-flight slice
-	final bool          // in-flight slice is the last: its wake resumes p
-	lost  bool          // core lost at a boundary: p queued in c.waiters
-	w     waiter        // reusable waiter record for the lost case
-	step  func()        // reusable boundary callback (captures this run)
-
-	// Wait-observer bookkeeping for the lost-core path: when it began
-	// and which account is to blame, captured at enqueue time.
-	lostAt time.Duration
-	aggr   string
-}
-
-// runCoalesced executes the remaining d (> one quantum) of work for t
-// on the already-acquired core, parking p until the work is consumed.
-func (c *CPU) runCoalesced(p *sim.Proc, t *Thread, k TimeKind, core int, d time.Duration) {
-	r := c.getRun()
-	r.p, r.t, r.kind, r.core, r.d = p, t, k, core, d
-	r.final, r.lost = false, false
-	r.slice = c.params.Quantum
-	c.eng.After(r.slice, r.step) // same push the old loop's first Sleep made
-	for {
-		p.Park()
-		if r.lost {
-			// A boundary callback lost the core; a release just handed
-			// us a new one. Mirror the old loop's post-acquire path.
-			r.lost = false
-			r.core = r.w.assigned
-			p.ReportWait("runq", "cpu", r.aggr, 0, c.eng.Now()-r.lostAt)
-			if r.d > c.params.Quantum {
-				r.slice = c.params.Quantum
-				c.eng.After(r.slice, r.step)
-				continue
-			}
-			r.final = true
-			r.slice = r.d
-			c.eng.ScheduleWakeAfter(p, r.slice)
-			continue
-		}
-		// Final wake: charge the last slice and release, exactly as the
-		// old loop's last iteration did after its Sleep returned.
-		c.cores[r.core].busyTime += r.slice
-		t.acct.addTime(k, r.slice)
-		t.lastCore = r.core
-		c.recordSlice(r.core, r.slice, t.acct, k)
-		p.ReportWait("run", "cpu", "", 0, r.slice)
-		c.release(r.core)
-		break
+func (c *CPU) getBurst(p *sim.Proc) *burst {
+	var b *burst
+	if n := len(c.burstPool); n > 0 {
+		b = c.burstPool[n-1]
+		c.burstPool = c.burstPool[:n-1]
+	} else {
+		b = &burst{c: c}
+		b.step, b.granted = b.fire, b.grant
 	}
-	c.putRun(r)
+	b.p = p
+	return b
 }
 
-// fire is the per-quantum boundary callback of a coalesced run: charge
-// the completed slice, then replay release + re-acquire. It performs
-// the same state mutations and event pushes, in the same order, as one
-// iteration of the historical Exec loop.
-func (r *execRun) fire() {
-	c := r.c
-	c.cores[r.core].busyTime += r.slice
-	r.t.acct.addTime(r.kind, r.slice)
-	r.t.lastCore = r.core
-	c.recordSlice(r.core, r.slice, r.t.acct, r.kind)
-	r.p.ReportWait("run", "cpu", "", 0, r.slice)
-	r.d -= r.slice
-	c.release(r.core)
-	core, ok := c.tryAcquire(r.t)
-	if !ok {
-		// Preempted: queue FIFO exactly where the old loop's acquire
-		// would have parked. A later release wakes p with the core.
-		r.lost = true
-		r.lostAt = c.eng.Now()
-		if c.eng.HasWaitObserver() {
-			r.aggr = c.runqAggressor(r.t)
-		}
-		r.w = waiter{p: r.p, th: r.t, assigned: -1}
-		c.waiters = append(c.waiters, &r.w)
-		return
-	}
-	r.core = core
-	if r.d > c.params.Quantum {
-		r.slice = c.params.Quantum
-		c.eng.After(r.slice, r.step)
-		return
-	}
-	// Last slice: hand its wake to the parked process so the run ends
-	// with the same proc-resume event the old loop's final Sleep pushed.
-	r.final = true
-	r.slice = r.d
-	c.eng.ScheduleWakeAfter(r.p, r.slice)
-}
-
-func (c *CPU) getRun() *execRun {
-	if n := len(c.runPool); n > 0 {
-		r := c.runPool[n-1]
-		c.runPool = c.runPool[:n-1]
-		return r
-	}
-	r := &execRun{c: c}
-	r.step = r.fire
-	return r
-}
-
-func (c *CPU) putRun(r *execRun) {
-	r.p, r.t = nil, nil
-	r.w = waiter{}
-	c.runPool = append(c.runPool, r)
+func (c *CPU) putBurst(b *burst) {
+	clear(b.segs)
+	b.segs = b.segs[:0]
+	b.p = nil
+	c.burstPool = append(c.burstPool, b)
 }
 
 // ExecBytes consumes CPU time equivalent to processing n bytes at the
@@ -317,25 +411,6 @@ func (t *Thread) ModeSwitch(p *sim.Proc) {
 func (t *Thread) ContextSwitch(p *sim.Proc) {
 	t.acct.contextSwitches++
 	t.Exec(p, Kernel, t.cpu.params.ContextSwitchCost)
-}
-
-// acquire obtains an idle core in the thread's mask, parking FIFO when
-// none is available. Released cores are handed directly to the oldest
-// compatible waiter, so admission order is preserved.
-func (c *CPU) acquire(p *sim.Proc, t *Thread) int {
-	if core, ok := c.tryAcquire(t); ok {
-		return core
-	}
-	since := c.eng.Now()
-	aggr := ""
-	if c.eng.HasWaitObserver() {
-		aggr = c.runqAggressor(t)
-	}
-	w := &waiter{p: p, th: t, assigned: -1}
-	c.waiters = append(c.waiters, w)
-	p.Park()
-	p.ReportWait("runq", "cpu", aggr, 0, c.eng.Now()-since)
-	return w.assigned
 }
 
 // runqAggressor names the account to blame for a core-acquisition wait
@@ -398,13 +473,17 @@ func (c *CPU) tryAcquire(t *Thread) (int, bool) {
 	return -1, false
 }
 
+// release frees core, or hands it straight to the oldest queued burst
+// whose thread may run there: the core stays busy, and the burst's
+// granted callback starts its slice in the same (now, seq) slot where
+// a wake of the queued process used to go.
 func (c *CPU) release(core int) {
-	for i, w := range c.waiters {
-		if w.th.mask.Has(core) {
+	for i, b := range c.waiters {
+		if t := b.segs[b.i].t; t.mask.Has(core) {
 			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			w.assigned = core // core stays busy: direct handoff
-			c.cores[core].occupant = w.th.acct
-			c.eng.ScheduleWake(w.p)
+			b.core = core
+			c.cores[core].occupant = t.acct
+			c.eng.After(0, b.granted)
 			return
 		}
 	}

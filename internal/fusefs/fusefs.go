@@ -102,18 +102,16 @@ func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn fun
 		// syscall boundary (ENOTCONN in real life) — no daemon round
 		// trip, but the aborted syscall still costs its kernel entry,
 		// which keeps erroring loops moving in simulated time.
-		ctx.T.ModeSwitch(ctx.P)
-		ctx.T.Exec(ctx.P, cpu.Kernel, p.FUSERequestOverhead)
-		ctx.T.ModeSwitch(ctx.P)
+		t.cpus.ExecSeq(ctx.P, ctx.T.ModeSwitchSeg(),
+			ctx.T.Seg(cpu.Kernel, p.FUSERequestOverhead), ctx.T.ModeSwitchSeg())
 		return vfsapi.ErrCrashed
 	}
 	// Application enters the kernel and hands the request to FUSE.
-	ctx.T.ModeSwitch(ctx.P)
-	ctx.T.Exec(ctx.P, cpu.Kernel, p.FUSERequestOverhead)
-	if payloadIn > 0 {
-		ctx.T.Exec(ctx.P, cpu.Kernel, p.CopyTime(payloadIn))
-	}
-	ctx.T.ContextSwitch(ctx.P)
+	// CopyTime of an empty payload is zero: its segment charges nothing.
+	copyIn, copyOut := p.CopyTime(payloadIn), p.CopyTime(payloadOut)
+	t.cpus.ExecSeq(ctx.P, ctx.T.ModeSwitchSeg(),
+		ctx.T.Seg(cpu.Kernel, p.FUSERequestOverhead),
+		ctx.T.Seg(cpu.Kernel, copyIn), ctx.T.ContextSwitchSeg())
 
 	// Daemon side: wait for a free daemon thread (the request sits in
 	// the FUSE queue while all are busy), read the request, pay the
@@ -127,22 +125,13 @@ func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn fun
 	dth := t.daemonThreads[t.next%len(t.daemonThreads)]
 	t.next++
 	dctx := vfsapi.Ctx{P: ctx.P, T: dth, Span: ctx.Span}
-	dth.ModeSwitch(ctx.P) // daemon returns from read(2) on /dev/fuse
-	if payloadIn > 0 {
-		dth.Exec(ctx.P, cpu.Kernel, p.CopyTime(payloadIn))
-	}
+	// The daemon returns from read(2) on /dev/fuse.
+	t.cpus.ExecSeq(ctx.P, dth.ModeSwitchSeg(), dth.Seg(cpu.Kernel, copyIn))
 	err := fn(dctx)
-	if payloadOut > 0 {
-		dth.Exec(ctx.P, cpu.Kernel, p.CopyTime(payloadOut))
-	}
-	dth.ModeSwitch(ctx.P) // daemon writes the reply
-
-	// Back to the application.
-	ctx.T.ContextSwitch(ctx.P)
-	if payloadOut > 0 {
-		ctx.T.Exec(ctx.P, cpu.Kernel, p.CopyTime(payloadOut))
-	}
-	ctx.T.ModeSwitch(ctx.P)
+	// The daemon writes the reply, then the application thread runs
+	// again and returns from the syscall.
+	t.cpus.ExecSeq(ctx.P, dth.Seg(cpu.Kernel, copyOut), dth.ModeSwitchSeg(),
+		ctx.T.ContextSwitchSeg(), ctx.T.Seg(cpu.Kernel, copyOut), ctx.T.ModeSwitchSeg())
 	return err
 }
 

@@ -156,8 +156,7 @@ func (t *Transport) call(ctx vfsapi.Ctx, fn func(dctx vfsapi.Ctx) error) error {
 	now := t.eng.Now()
 	if !q.everServed || now-q.lastServed > t.params.IPCPollWindow {
 		t.wakeups++
-		ctx.T.ContextSwitch(ctx.P)
-		ctx.T.Exec(ctx.P, cpu.User, p.IPCWakeupCost)
+		t.cpus.ExecSeq(ctx.P, ctx.T.ContextSwitchSeg(), ctx.T.Seg(cpu.User, p.IPCWakeupCost))
 	}
 
 	// Back driver: pick a service thread, growing the pool when the

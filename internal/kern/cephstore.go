@@ -87,10 +87,10 @@ func (s *CephStore) opCPU(ctx vfsapi.Ctx) {
 
 // wireCPU charges protocol + checksum processing for n wire bytes.
 func (s *CephStore) wireCPU(ctx vfsapi.Ctx, n int64) {
-	p := s.kern.params
-	ctx.T.Exec(ctx.P, cpu.Kernel, p.NetOpCost)
-	ctx.T.ExecBytes(ctx.P, cpu.Kernel, n, p.NetCPUBytesPerSec)
-	ctx.T.ExecBytes(ctx.P, cpu.Kernel, n, p.ChecksumBytesPerSec)
+	p, t := s.kern.params, ctx.T
+	s.kern.cpus.ExecSeq(ctx.P, t.Seg(cpu.Kernel, p.NetOpCost),
+		t.BytesSeg(cpu.Kernel, n, p.NetCPUBytesPerSec),
+		t.BytesSeg(cpu.Kernel, n, p.ChecksumBytesPerSec))
 }
 
 // Lookup resolves a path, serving repeated lookups from the attribute

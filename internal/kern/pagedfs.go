@@ -296,8 +296,7 @@ func (h *pagedHandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	}
 
 	h.f.imutex.Lock(ctx.P)
-	ctx.T.Exec(ctx.P, cpu.Kernel, params.IMutexHold)
-	ctx.T.Exec(ctx.P, cpu.Kernel, params.CopyTime(n))
+	m.kern.cpus.ExecSeq(ctx.P, ctx.T.Seg(cpu.Kernel, params.IMutexHold), ctx.T.Seg(cpu.Kernel, params.CopyTime(n)))
 	m.cacheInsert(ctx, h.f, off, n)
 	if end := off + n; end > h.f.size {
 		h.f.size = end

@@ -27,8 +27,7 @@ func (s *Syscalls) Inner() vfsapi.FileSystem { return s.inner }
 
 func (s *Syscalls) enter(ctx vfsapi.Ctx) obs.Scope {
 	sc := ctx.Span.Enter(obs.LayerSyscall)
-	ctx.T.ModeSwitch(ctx.P)
-	ctx.T.Exec(ctx.P, cpu.Kernel, s.kern.params.VFSOpCost)
+	s.kern.cpus.ExecSeq(ctx.P, ctx.T.ModeSwitchSeg(), ctx.T.Seg(cpu.Kernel, s.kern.params.VFSOpCost))
 	return sc
 }
 

@@ -50,6 +50,18 @@ type Stats struct {
 	// and TraceResume. An absorbed WaitUntil wake is a callback.
 	Callbacks uint64
 	Resumes   uint64
+	// Resumes split by who runs the resumed process. InlineWakes are a
+	// parking process reaching its own wake in Proc.park and running on
+	// without a goroutine switch. Handoffs are a parking process
+	// switching straight to another one, one goroutine switch. The rest,
+	// Resumes - InlineWakes - Handoffs, are resumes by the engine loop,
+	// two switches each.
+	InlineWakes uint64
+	Handoffs    uint64
+	// ProcsSpawned counts the processes Go started; ProcsLive those of
+	// them not yet returned.
+	ProcsSpawned uint64
+	ProcsLive    uint64
 	// WakesAbsorbed counts WaitUntil wakes whose re-check found the
 	// condition still false: the waiter was re-queued by the engine
 	// without a goroutine switch.
@@ -70,6 +82,7 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	s := e.stats
 	s.TimeoutsPending = uint64(len(e.timers))
+	s.ProcsLive = uint64(e.liveProcs)
 	return s
 }
 
@@ -133,6 +146,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		resume: make(chan struct{}),
 	}
 	e.liveProcs++
+	e.stats.ProcsSpawned++
 	go func() {
 		// The deferred handoff also covers runtime.Goexit (e.g. a
 		// t.Fatal inside a simulated process): the engine regains
@@ -217,9 +231,9 @@ func (e *Engine) ScheduleWake(p *Proc) {
 }
 
 // ScheduleWakeAfter arranges for p to resume at now+d. It lets engine
-// callbacks hand a timed wake to a parked process (the CPU scheduler's
-// coalesced quantum chain ends this way) without the process burning a
-// park/resume round trip on an intermediate Sleep.
+// callbacks hand a timed wake to a parked process (a CPU burst ends this
+// way) without the process burning a park/resume round trip on an
+// intermediate Sleep.
 func (e *Engine) ScheduleWakeAfter(p *Proc, d time.Duration) {
 	if d < 0 {
 		d = 0

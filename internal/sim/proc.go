@@ -95,6 +95,7 @@ func (p *Proc) park() wakeReason {
 		e.stats.Resumes++
 		if q == p {
 			// Own wake reached: resume inline, never having parked.
+			e.stats.InlineWakes++
 			p.pendingWake = false
 			r := p.wakeReason
 			p.wakeReason = wakeNormal
@@ -106,6 +107,7 @@ func (p *Proc) park() wakeReason {
 		if q.done {
 			panic(fmt.Sprintf("sim: resuming finished proc %s", q.name))
 		}
+		e.stats.Handoffs++
 		q.pendingWake = false
 		e.running = q
 		q.resume <- struct{}{}

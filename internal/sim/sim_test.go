@@ -441,6 +441,27 @@ func BenchmarkMutexContendedHandoff(b *testing.B) {
 	e.Run()
 }
 
+// TestStatsSplitResumes checks the resume split and the process
+// counters: every resume is the engine loop's, a parking process's
+// inline own wake, or a direct handoff between processes.
+func TestStatsSplitResumes(t *testing.T) {
+	e := NewEngine()
+	e.Go("a", func(p *Proc) {
+		p.Sleep(time.Millisecond) // hands off to b's start
+		p.Sleep(time.Millisecond) // its own wake is next: inline
+	})
+	e.Go("b", func(p *Proc) { p.Sleep(5 * time.Millisecond) }) // hands off to c's start
+	e.Go("c", func(p *Proc) { p.Park() })                      // hands off to a; never woken
+	e.Run()
+	// The loop starts a and, once a finishes, resumes b at 5ms.
+	want := Stats{Resumes: 6, InlineWakes: 1, Handoffs: 3, ProcsSpawned: 3, ProcsLive: 1}
+	got := e.Stats()
+	got.EventHeapHigh = 0
+	if got != want {
+		t.Fatalf("stats %+v, want %+v", got, want)
+	}
+}
+
 func TestGoexitInsideProcDoesNotDeadlockEngine(t *testing.T) {
 	// A test failure inside a simulated process calls runtime.Goexit;
 	// the engine must regain control instead of waiting forever.
