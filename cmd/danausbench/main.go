@@ -55,9 +55,9 @@ import (
 )
 
 var experimentsByName = map[string]func(experiments.Scale){
-	"fig1":          runFig1,
-	"fig6a":         runFig6a,
-	"fig6b":         runFig6b,
+	"fig1":          interferenceFig("Fig 1: Fileserver under kernel I/O contention (kernel client only)", experiments.Fig1Cases),
+	"fig6a":         interferenceFig("Fig 6a: Fileserver vs RandomIO interference (K vs D)", experiments.Fig6aCases),
+	"fig6b":         interferenceFig("Fig 6b: Fileserver vs Webserver interference (K vs D)", experiments.Fig6bCases),
 	"fig6c":         runFig6c,
 	"fig7a":         func(s experiments.Scale) { runKVScaleout(experiments.PhasePut, s) },
 	"fig7b":         func(s experiments.Scale) { runKVScaleout(experiments.PhaseGet, s) },
@@ -82,12 +82,28 @@ var experimentsByName = map[string]func(experiments.Scale){
 }
 
 // invariantFailures counts invariant violations observed by experiment
-// runs: the fault, crash, overload and monitor sweep row checks, the
+// runs: the drain checks every testbed ends in (experiments.Drained,
+// which hold the overload sweep's admission ledgers), the fault, crash
+// and monitor sweep row checks, the
 // tracesweep replay checks and the fuzzsweep invariant registry. They
 // turn the exit status nonzero once every selected experiment has run
 // and its artifacts are exported, so CI catches a run whose rows
 // printed fine but broke a correctness property.
 var invariantFailures int
+
+// currentExp names the experiment runOne is running, for the drain
+// violations it reports.
+var currentExp string
+
+// noteDrained is the experiments.Drained sink: it reports the drain
+// checks' violations of every testbed an experiment drove.
+func noteDrained(_ *core.Testbed, vs []experiments.Violation) {
+	details := make([]string, len(vs))
+	for i, v := range vs {
+		details[i] = fmt.Sprintf("%s drain %s", currentExp, v)
+	}
+	noteViolations(details)
+}
 
 // noteViolations reports invariant violations and accumulates them
 // into the process exit status.
@@ -247,6 +263,9 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Every testbed an experiment or a replay drives reports its drain
+	// checks here; the fuzz paths above judge theirs in the registry.
+	experiments.Drained = noteDrained
 	if *replayPath != "" {
 		if *exp != "" {
 			fmt.Fprintln(os.Stderr, "-replay conflicts with -exp "+*exp)
@@ -266,26 +285,18 @@ func main() {
 		enableObservability()
 	}
 
+	names := []string{*exp}
 	if *exp == "all" {
-		names := make([]string, 0, len(experimentsByName))
+		names = names[:0]
 		for name := range experimentsByName {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		for _, name := range names {
-			runOne(name, scale)
-		}
-		exportObs(*tracePath, *metricsPath)
-		exportBlame(*blamePath)
-		exportTraces(recordTracePath)
-		exitOnViolations()
-		return
-	}
-	if _, ok := experimentsByName[*exp]; !ok {
+	} else if _, ok := experimentsByName[*exp]; !ok {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *exp)
 		os.Exit(2)
 	}
-	runOne(*exp, scale)
+	runAll(names, scale)
 	exportObs(*tracePath, *metricsPath)
 	exportBlame(*blamePath)
 	exportTraces(recordTracePath)
@@ -484,76 +495,73 @@ func exportObs(tracePath, metricsPath string) {
 	}
 }
 
+// runAll runs the named experiments in order. A violation is counted,
+// never fatal: every experiment still runs, and main exits nonzero
+// after the exports.
+func runAll(names []string, scale experiments.Scale) {
+	for _, name := range names {
+		runOne(name, scale)
+	}
+}
+
 func runOne(name string, scale experiments.Scale) {
+	currentExp = name
 	fmt.Printf("=== %s (factor %.2f, window %v) ===\n", name, scale.Factor, scale.Duration)
 	start := time.Now()
 	experimentsByName[name](scale)
 	fmt.Printf("--- %s done in %v\n\n", name, time.Since(start).Round(time.Millisecond))
 }
 
-func runFig1(scale experiments.Scale) {
-	fmt.Println("Fig 1: Fileserver under kernel I/O contention (kernel client only)")
-	for _, c := range experiments.Fig1Cases() {
-		row := experiments.RunInterference(c, scale)
-		printInterference(row)
+// interferenceFig prints one Fig 1/6a/6b bar chart.
+func interferenceFig(title string, cases func() []experiments.InterferenceCase) func(experiments.Scale) {
+	return func(scale experiments.Scale) {
+		fmt.Println(title)
+		for _, c := range cases() {
+			fmt.Println("  " + experiments.RunInterference(c, scale).String())
+		}
 	}
-}
-
-func runFig6a(scale experiments.Scale) {
-	fmt.Println("Fig 6a: Fileserver vs RandomIO interference (K vs D)")
-	for _, c := range experiments.Fig6aCases() {
-		printInterference(experiments.RunInterference(c, scale))
-	}
-}
-
-func runFig6b(scale experiments.Scale) {
-	fmt.Println("Fig 6b: Fileserver vs Webserver interference (K vs D)")
-	for _, c := range experiments.Fig6bCases() {
-		printInterference(experiments.RunInterference(c, scale))
-	}
-}
-
-func printInterference(row experiments.InterferenceRow) {
-	fmt.Printf("  %-14s %9.1f MB/s   neighbor-cores %6.1f%%   lock wait/req %-12v hold/req %v\n",
-		row.Label, row.FLSThroughputMBps, row.NeighborCoreUtilPct, row.LockWaitPerReq, row.LockHoldPerReq)
 }
 
 func runFig6c(scale experiments.Scale) {
 	fmt.Println("Fig 6c: Sysbench and Fileserver latency under colocation")
 	for _, c := range experiments.Fig6cCases() {
-		row := experiments.RunSysbench(c, scale)
-		fmt.Printf("  %-14s ssb-p99 %-12v fls-avg %-12v ssb-cores %6.1f%%\n",
-			row.Label, row.SSBLatencyP99, row.FLSLatencyAvg, row.SSBCoreUtilPct)
+		fmt.Println("  " + experiments.RunSysbench(c, scale).String())
+	}
+}
+
+// runGrid prints a figure's title, then one row per configuration and
+// count, in that order.
+func runGrid(title string, configs []core.Configuration, counts []int, row func(core.Configuration, int) fmt.Stringer) {
+	fmt.Println(title)
+	for _, cfg := range configs {
+		for _, n := range counts {
+			fmt.Println("  " + row(cfg, n).String())
+		}
 	}
 }
 
 func runKVScaleout(phase experiments.KVPhase, scale experiments.Scale) {
 	label := map[experiments.KVPhase]string{experiments.PhasePut: "put", experiments.PhaseGet: "get (out-of-core)"}
-	fmt.Printf("Fig 7 scaleout: KV %s latency, private client per pool\n", label[phase])
-	for _, cfg := range experiments.Fig7aConfigs() {
-		for _, n := range experiments.Fig7ScaleoutCounts() {
-			fmt.Println("  " + experiments.RunKVScaleout(cfg, n, phase, scale).String())
-		}
-	}
+	runGrid(fmt.Sprintf("Fig 7 scaleout: KV %s latency, private client per pool", label[phase]),
+		experiments.Fig7aConfigs(), experiments.Fig7ScaleoutCounts(),
+		func(cfg core.Configuration, n int) fmt.Stringer {
+			return experiments.RunKVScaleout(cfg, n, phase, scale)
+		})
 }
 
 func runKVScaleup(phase experiments.KVPhase, scale experiments.Scale) {
 	label := map[experiments.KVPhase]string{experiments.PhasePut: "put", experiments.PhaseGet: "get"}
-	fmt.Printf("Fig 7 scaleup: KV %s latency, cloned containers over shared client\n", label[phase])
-	for _, cfg := range experiments.Fig7cConfigs() {
-		for _, n := range experiments.Fig7ScaleupCounts() {
-			fmt.Println("  " + experiments.RunKVScaleup(cfg, n, phase, scale).String())
-		}
-	}
+	runGrid(fmt.Sprintf("Fig 7 scaleup: KV %s latency, cloned containers over shared client", label[phase]),
+		experiments.Fig7cConfigs(), experiments.Fig7ScaleupCounts(),
+		func(cfg core.Configuration, n int) fmt.Stringer {
+			return experiments.RunKVScaleup(cfg, n, phase, scale)
+		})
 }
 
 func runFig8(scale experiments.Scale) {
-	fmt.Println("Fig 8: webserver container startup scaleup (real time, context switches)")
-	for _, cfg := range experiments.Fig8Configs() {
-		for _, n := range experiments.Fig8Counts() {
-			fmt.Println("  " + experiments.RunStartupScaleup(cfg, n, scale).String())
-		}
-	}
+	runGrid("Fig 8: webserver container startup scaleup (real time, context switches)",
+		experiments.Fig8Configs(), experiments.Fig8Counts(),
+		func(cfg core.Configuration, n int) fmt.Stringer { return experiments.RunStartupScaleup(cfg, n, scale) })
 }
 
 func runSeqIO(write bool, scale experiments.Scale) {
@@ -561,21 +569,19 @@ func runSeqIO(write bool, scale experiments.Scale) {
 	if write {
 		kind = "Seqwrite"
 	}
-	fmt.Printf("Fig 9: %s scaleout\n", kind)
-	for _, cfg := range []core.Configuration{core.ConfigD, core.ConfigF, core.ConfigK} {
-		for _, n := range experiments.Fig9PoolCounts() {
-			fmt.Println("  " + experiments.RunSeqIOScaleout(cfg, n, write, scale).String())
-		}
-	}
+	runGrid(fmt.Sprintf("Fig 9: %s scaleout", kind), []core.Configuration{core.ConfigD, core.ConfigF, core.ConfigK},
+		experiments.Fig9PoolCounts(),
+		func(cfg core.Configuration, n int) fmt.Stringer {
+			return experiments.RunSeqIOScaleout(cfg, n, write, scale)
+		})
 }
 
 func runFig10(scale experiments.Scale) {
-	fmt.Println("Fig 10: Fileserver scaleout")
-	for _, cfg := range []core.Configuration{core.ConfigD, core.ConfigF, core.ConfigK} {
-		for _, n := range experiments.Fig10PoolCounts() {
-			fmt.Println("  " + experiments.RunFileserverScaleout(cfg, n, scale).String())
-		}
-	}
+	runGrid("Fig 10: Fileserver scaleout", []core.Configuration{core.ConfigD, core.ConfigF, core.ConfigK},
+		experiments.Fig10PoolCounts(),
+		func(cfg core.Configuration, n int) fmt.Stringer {
+			return experiments.RunFileserverScaleout(cfg, n, scale)
+		})
 }
 
 func runFileIO(append bool, scale experiments.Scale) {
@@ -583,12 +589,11 @@ func runFileIO(append bool, scale experiments.Scale) {
 	if append {
 		kind = "Fileappend"
 	}
-	fmt.Printf("Fig 11: %s scaleup (timespan, max memory)\n", kind)
-	for _, cfg := range experiments.Fig11Configs() {
-		for _, n := range experiments.Fig11Counts() {
-			fmt.Println("  " + experiments.RunFileIOScaleup(cfg, n, append, scale).String())
-		}
-	}
+	runGrid(fmt.Sprintf("Fig 11: %s scaleup (timespan, max memory)", kind), experiments.Fig11Configs(),
+		experiments.Fig11Counts(),
+		func(cfg core.Configuration, n int) fmt.Stringer {
+			return experiments.RunFileIOScaleup(cfg, n, append, scale)
+		})
 }
 
 func runAblations(scale experiments.Scale) {
@@ -816,7 +821,6 @@ func runOverloadSweep(scale experiments.Scale) {
 	fmt.Println("Overload sweep: victim tail latency and load shedding under open-loop overload")
 	for _, row := range experiments.RunOverloadSweep(scale) {
 		fmt.Println("  " + row.String())
-		noteViolations(experiments.OverloadRowViolations(row))
 	}
 }
 

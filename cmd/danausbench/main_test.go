@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fuzz"
+	"repro/internal/sim"
 	"repro/internal/vfsapi"
 )
 
@@ -20,20 +21,15 @@ func TestNoteViolationsAccumulates(t *testing.T) {
 		t.Fatalf("clean rows counted as failures: %d", invariantFailures)
 	}
 
-	// A row whose admission queue overran its cap and whose accounting
-	// does not balance must produce two violations.
-	bad := experiments.OverloadRow{
-		Label: "D+adm", Multiplier: 4, QueueCap: 8,
-		Admission: vfsapi.AdmissionStats{
+	// A pool whose admission queue overran its cap and whose accounting
+	// does not balance must produce two violations at drain.
+	noteDrained(nil, experiments.DrainEvidence{Admission: []experiments.TenantAdmission{{
+		Tenant: "fls1", QueueCap: 8,
+		Stats: vfsapi.AdmissionStats{
 			Offered: 10, Admitted: 5, Shed: 3, // 2 ops unaccounted
 			MaxQueued: 9,
 		},
-	}
-	vs := experiments.OverloadRowViolations(bad)
-	if len(vs) != 2 {
-		t.Fatalf("want 2 violations, got %d: %v", len(vs), vs)
-	}
-	noteViolations(vs)
+	}}}.Violations())
 	if invariantFailures != 2 {
 		t.Fatalf("accumulator = %d, want 2", invariantFailures)
 	}
@@ -50,8 +46,9 @@ func TestNoteViolationsAccumulates(t *testing.T) {
 	}
 }
 
-// TestCleanOverloadRowPasses confirms a consistent row yields no
-// violations (so healthy sweeps keep exit status zero).
+// TestCleanOverloadRowPasses confirms a consistent row's admission
+// ledger passes the drain checks (so healthy sweeps keep exit status
+// zero).
 func TestCleanOverloadRowPasses(t *testing.T) {
 	ok := experiments.OverloadRow{
 		Label: "D+adm", Multiplier: 2, QueueCap: 32,
@@ -59,7 +56,8 @@ func TestCleanOverloadRowPasses(t *testing.T) {
 			Offered: 100, Admitted: 90, Shed: 10, MaxQueued: 32,
 		},
 	}
-	if vs := experiments.OverloadRowViolations(ok); len(vs) != 0 {
+	a := experiments.TenantAdmission{Tenant: "fls1", QueueCap: ok.QueueCap, Stats: ok.Admission}
+	if vs := (experiments.DrainEvidence{Admission: []experiments.TenantAdmission{a}}).Violations(); len(vs) != 0 {
 		t.Fatalf("clean row flagged: %v", vs)
 	}
 }
@@ -85,5 +83,36 @@ func TestFuzzSweepViolationsAccumulate(t *testing.T) {
 	noteViolations(vs)
 	if invariantFailures != 2 {
 		t.Fatalf("accumulator = %d, want 2", invariantFailures)
+	}
+}
+
+// TestDrainViolationDoesNotStopAll: a run whose drain checks fail is
+// reported through the experiments.Drained sink main installs and
+// counted, and the experiments sorted after it still run, so -exp all
+// finishes before the nonzero exit.
+func TestDrainViolationDoesNotStopAll(t *testing.T) {
+	invariantFailures = 0
+	saved := experimentsByName
+	experiments.Drained = noteDrained
+	defer func() { invariantFailures, experimentsByName, experiments.Drained = 0, saved, nil }()
+
+	ran := false
+	experimentsByName = map[string]func(experiments.Scale){
+		// A request span that never ends: the drain's span-leak check.
+		"a-leak": func(s experiments.Scale) {
+			tb, _ := experiments.Scenario{Scale: s, Cores: 2, Private: true}.Testbed()
+			experiments.Drive(tb, func(p *sim.Proc) { tb.Obs.StartSpan(p.ID(), "t0", "read") })
+		},
+		"b-clean": func(s experiments.Scale) {
+			tb, _ := experiments.Scenario{Scale: s, Cores: 2}.Testbed()
+			experiments.Drive(tb, func(p *sim.Proc) { ran = true })
+		},
+	}
+	runAll([]string{"a-leak", "b-clean"}, experiments.QuickScale)
+	if !ran {
+		t.Fatal("the experiment after the violating one did not run")
+	}
+	if invariantFailures != 1 {
+		t.Fatalf("accumulator = %d, want the one span leak", invariantFailures)
 	}
 }

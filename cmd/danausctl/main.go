@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/experiments"
 	"repro/internal/kvstore"
 	"repro/internal/sim"
@@ -90,59 +89,44 @@ func runInterferenceScenario(config core.Configuration, pools int, neighbor bool
 	fmt.Printf("  kernel lock wait/req  : %v (hold %v)\n", row.LockWaitPerReq, row.LockHoldPerReq)
 }
 
-// runKVScenario builds its own testbed so it can print store internals.
+// runKVScenario drives its own testbed so it can print store internals.
 func runKVScenario(config core.Configuration, pools int, scale experiments.Scale) {
-	tb := core.NewTestbed(core.TestbedConfig{Cores: 2 * pools, Params: scale.Params()})
-	type inst struct {
-		cont *core.Container
-		db   *kvstore.DB
-		put  *workloads.KVPut
+	s := experiments.Scenario{Scale: scale, Cores: 2 * pools}
+	for i := 0; i < pools; i++ {
+		s.Pools = append(s.Pools, experiments.PoolSpec{Name: fmt.Sprintf("kv%d", i), Config: config})
 	}
-	insts := make([]*inst, pools)
-	for i := range insts {
-		name := fmt.Sprintf("kv%d", i)
-		if err := tb.Cluster.ProvisionDir("/containers/" + name); err != nil {
-			panic(err)
-		}
-		pool := tb.NewPool(name, cpu.MaskRange(2*i, 2*i+2), scale.PoolMem())
-		cont, err := pool.NewContainer(name, core.MountSpec{Config: config, UpperDir: "/containers/" + name})
-		if err != nil {
-			panic(err)
-		}
-		insts[i] = &inst{cont: cont}
-	}
-	tb.Eng.Go("master", func(p *sim.Proc) {
-		defer tb.Stop()
+	tb, conts := s.Testbed()
+	dbs := make([]*kvstore.DB, pools)
+	puts := make([]*workloads.KVPut, pools)
+	experiments.Drive(tb, func(p *sim.Proc) {
 		g := workloads.NewGroup(tb.Eng)
-		for i, in := range insts {
-			in := in
-			i := i
+		for i, cont := range conts {
+			i, cont := i, cont
 			g.Go("kv", func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: in.cont.NewThread()}
+				ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
 				db, err := kvstore.Open(ctx, kvstore.Config{
-					FS: in.cont.Mount.Default, Dir: "/rocksdb",
-					MemtableBytes: 8 << 20, Eng: tb.Eng, NewThread: in.cont.NewThread,
+					FS: cont.Mount.Default, Dir: "/rocksdb",
+					MemtableBytes: 8 << 20, Eng: tb.Eng, Params: tb.Params, NewThread: cont.NewThread,
 				})
 				if err != nil {
 					panic(err)
 				}
-				in.db = db
-				in.put = &workloads.KVPut{DB: db, Seed: int64(i) + 1, NewThread: in.cont.NewThread}
-				in.put.Defaults(scale.Factor)
+				dbs[i] = db
+				puts[i] = &workloads.KVPut{DB: db, Seed: int64(i) + 1, NewThread: cont.NewThread}
+				puts[i].Defaults(scale.Factor)
 				g2 := workloads.NewGroup(tb.Eng)
-				in.put.Run(g2, workloads.Clock{Eng: tb.Eng})
+				puts[i].Run(g2, workloads.Clock{Eng: tb.Eng})
 				g2.Wait(pp)
 				db.Close(ctx)
 			})
 		}
 		g.Wait(p)
 	})
-	tb.Eng.Run()
 
 	fmt.Printf("%s kvput across %d pools (virtual time %v)\n", config, pools, tb.Eng.Now())
-	for i, in := range insts {
-		l0, l1 := in.db.Levels()
+	for i, db := range dbs {
+		l0, l1 := db.Levels()
 		fmt.Printf("  pool %d: %d puts, avg %v, %d flushes, %d compactions, L0=%d L1=%d, stall %v\n",
-			i, in.put.Stats.Ops.Ops, in.put.Stats.Latency.Mean(), in.db.Flushes, in.db.Compactions, l0, l1, in.db.StallTime)
+			i, puts[i].Stats.Ops.Ops, puts[i].Stats.Latency.Mean(), db.Flushes, db.Compactions, l0, l1, db.StallTime)
 	}
 }

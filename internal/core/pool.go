@@ -341,9 +341,11 @@ type Container struct {
 
 // NewThread creates a CPU thread confined to the container's pool
 // (its cgroup cpuset) and charged to the pool's account.
-func (c *Container) NewThread() *cpu.Thread {
-	return c.Pool.tb.CPU.NewThread(c.Pool.Acct, c.Pool.Mask)
-}
+func (c *Container) NewThread() *cpu.Thread { return c.Pool.NewThread() }
+
+// NewThread creates a CPU thread confined to the pool's cores and
+// charged to its account.
+func (p *Pool) NewThread() *cpu.Thread { return p.tb.CPU.NewThread(p.Acct, p.Mask) }
 
 // prefixFS roots an inner filesystem at a path prefix.
 type prefixFS struct {

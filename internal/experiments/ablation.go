@@ -33,36 +33,29 @@ func RunAblationClientLock(scale Scale) AblationRow {
 	run := func(lockFraction float64) float64 {
 		params := scale.Params()
 		params.ClientLockCopyFraction = lockFraction
-		r := &rig{tb: core.NewTestbed(core.TestbedConfig{Cores: 2, Params: params})}
-		_, cont, err := r.flsContainer(0, core.ConfigD, scale)
-		if err != nil {
-			panic(err)
-		}
-		w := &workloads.SeqIO{
-			FS: cont.Mount.Default, Dir: "/seq", NewThread: cont.NewThread,
-		}
-		w.Defaults(scale.Factor)
-		r.runMaster(func(p *sim.Proc) {
-			prepare(p, r.tb.Eng, func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
-				if err := w.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			})
-			clock := clockFor(r.tb.Eng, scale)
-			g := workloads.NewGroup(r.tb.Eng)
-			w.Run(g, clock)
-			g.Wait(p)
-		})
-		return w.Stats.ThroughputMBps(scale.Duration)
+		s := Scenario{Scale: scale, Cores: 2, Params: params, Pools: flsPools(1, core.ConfigD)}
+		return seqReadMBps(s, func(tb *core.Testbed, c *core.Container) vfsapi.FileSystem { return c.Mount.Default }, 0)
 	}
-	base := run(model.Default().ClientLockCopyFraction)
 	return AblationRow{
 		Name:     "client_lock removal",
-		Baseline: base,
+		Baseline: run(model.Default().ClientLockCopyFraction),
 		Ablated:  run(0), // refactored fine-grained client
 		Unit:     "MB/s",
 	}
+}
+
+// seqReadMBps runs cached Seqread with threads threads (0: the
+// default) on the first container of s, through the filesystem fs
+// picks, and returns its throughput.
+func seqReadMBps(s Scenario, fs func(*core.Testbed, *core.Container) vfsapi.FileSystem, threads int) float64 {
+	tb, _ := s.Testbed()
+	cont := tb.Pools()[0].Containers()[0]
+	w := &workloads.SeqIO{FS: fs(tb, cont), Dir: "/seq", Threads: threads, NewThread: cont.NewThread}
+	w.Defaults(s.Scale.Factor)
+	Drive(tb, func(p *sim.Proc) {
+		runLoads(p, tb, func() workloads.Clock { return clockFor(tb.Eng, s.Scale) }, load{w.Prepare, w.NewThread, w.Run})
+	})
+	return w.Stats.ThroughputMBps(s.Scale.Duration)
 }
 
 // RunAblationWakeupElision quantifies the §3.5 polling service threads:
@@ -74,13 +67,10 @@ func RunAblationWakeupElision(scale Scale) AblationRow {
 		if disablePolling {
 			params.IPCPollWindow = 0
 		}
-		r := &rig{tb: core.NewTestbed(core.TestbedConfig{Cores: 2, Params: params})}
-		_, cont, err := r.flsContainer(0, core.ConfigD, scale)
-		if err != nil {
-			panic(err)
-		}
+		tb, conts := Scenario{Scale: scale, Cores: 2, Params: params, Pools: flsPools(1, core.ConfigD)}.Testbed()
+		cont := conts[0]
 		var switches float64
-		r.runMaster(func(p *sim.Proc) {
+		Drive(tb, func(p *sim.Proc) {
 			ctx := vfsapi.Ctx{P: p, T: cont.NewThread()}
 			h, err := cont.Mount.Default.Open(ctx, "/f", vfsapi.CREATE|vfsapi.RDWR)
 			if err != nil {
@@ -104,42 +94,20 @@ func RunAblationWakeupElision(scale Scale) AblationRow {
 
 // RunAblationThreadPinning quantifies the §3.5 thread-to-queue pinning:
 // without it, application threads hop across core groups on every
-// request.
+// request. Eight Seqread threads share one whole-host pool.
 func RunAblationThreadPinning(scale Scale) AblationRow {
 	run := func(noPinning bool) float64 {
-		params := scale.Params()
-		r := &rig{tb: core.NewTestbed(core.TestbedConfig{Cores: 8, Params: params})}
-		if err := r.tb.Cluster.ProvisionDir("/containers/abl"); err != nil {
-			panic(err)
-		}
-		pool := r.tb.NewPool("abl", r.tb.CPU.AllMask(), scale.PoolMem())
-		cont, err := pool.NewContainer("abl", core.MountSpec{Config: core.ConfigD, UpperDir: "/containers/abl"})
-		if err != nil {
-			panic(err)
-		}
-		fs := cont.Mount.Default
-		if noPinning {
+		s := Scenario{Scale: scale, Cores: 8, Pools: []PoolSpec{{Name: "abl", Config: core.ConfigD, Scaleup: &Scaleup{Clones: 1, Mem: 1}}}}
+		return seqReadMBps(s, func(tb *core.Testbed, c *core.Container) vfsapi.FileSystem {
+			if !noPinning {
+				return c.Mount.Default
+			}
 			// Rebuild the transport with pinning disabled, serving the
 			// same filesystem instance.
-			fs = ipc.New(r.tb.Eng, r.tb.CPU, params, cont.Mount.IPC.Inner(), ipc.Config{
-				Name: "abl-nopin", Mask: pool.Mask, Acct: pool.Acct, NoPinning: true,
+			return ipc.New(tb.Eng, tb.CPU, tb.Params, c.Mount.IPC.Inner(), ipc.Config{
+				Name: "abl-nopin", Mask: c.Pool.Mask, Acct: c.Pool.Acct, NoPinning: true,
 			})
-		}
-		w := &workloads.SeqIO{FS: fs, Dir: "/seq", Threads: 8, NewThread: cont.NewThread}
-		w.Defaults(scale.Factor)
-		r.runMaster(func(p *sim.Proc) {
-			prepare(p, r.tb.Eng, func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
-				if err := w.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			})
-			clock := clockFor(r.tb.Eng, scale)
-			g := workloads.NewGroup(r.tb.Eng)
-			w.Run(g, clock)
-			g.Wait(p)
-		})
-		return w.Stats.ThroughputMBps(scale.Duration)
+		}, 8)
 	}
 	return AblationRow{
 		Name:     "IPC thread pinning",
@@ -188,37 +156,37 @@ func RunAblationImagePull(scale Scale) AblationRow {
 
 	// Classic flow: transfer the image bytes from the registry (the
 	// cluster stands in) to the local disks and expand, once per
-	// container, before the same startup runs from the local copy.
-	r := newScaledRig(4, scale, nil)
-	params := r.tb.Params
+	// container, before the same startup runs from the local copy. The
+	// pull runs in an empty whole-host pool.
+	s := Scenario{Scale: scale, Cores: 4, Pools: []PoolSpec{{Name: "pull", Scaleup: &Scaleup{Mem: 1}}}}
+	tb, _ := s.Testbed()
+	params := tb.Params
 	imageBytes := params.ExecBinaryBytes + params.MmapLibraryBytes +
 		params.StartupAppFileBytes + int64(params.StartupOpCount)*(2<<10)
 	var pullTime float64
-	r.runMaster(func(p *sim.Proc) {
-		pool := r.tb.NewPool("pull", r.tb.CPU.AllMask(), scale.PoolMem())
-		th := r.tb.CPU.NewThread(pool.Acct, pool.Mask)
-		ctx := vfsapi.Ctx{P: p, T: th}
-		start := r.tb.Eng.Now()
+	Drive(tb, func(p *sim.Proc) {
+		ctx := vfsapi.Ctx{P: p, T: tb.Pools()[0].NewThread()}
+		start := tb.Eng.Now()
 		for i := 0; i < 8; i++ {
 			// Download: registry -> host over the network.
-			if err := r.tb.Cluster.ProvisionDir("/registry"); err != nil {
+			if err := tb.Cluster.ProvisionDir("/registry"); err != nil {
 				panic(err)
 			}
-			if err := r.tb.Cluster.Provision(fmt.Sprintf("/registry/layer%02d", i), imageBytes); err != nil {
+			if err := tb.Cluster.Provision(fmt.Sprintf("/registry/layer%02d", i), imageBytes); err != nil {
 				panic(err)
 			}
-			info, ino, err := r.tb.Cluster.MetaLookup(ctx, fmt.Sprintf("/registry/layer%02d", i))
+			info, ino, err := tb.Cluster.MetaLookup(ctx, fmt.Sprintf("/registry/layer%02d", i))
 			if err != nil {
 				panic(err)
 			}
-			r.tb.Cluster.Read(ctx, ino, 0, info.Size)
+			tb.Cluster.Read(ctx, ino, 0, info.Size)
 			// Expand onto the local disks.
-			if err := r.tb.LocalStore.Provision(fmt.Sprintf("/var/lib/images/%02d", i), 0); err != nil {
+			if err := tb.LocalStore.Provision(fmt.Sprintf("/var/lib/images/%02d", i), 0); err != nil {
 				panic(err)
 			}
-			r.tb.LocalArray.Access(p, int64(i)<<30, imageBytes, true)
+			tb.LocalArray.Access(p, int64(i)<<30, imageBytes, true)
 		}
-		pullTime = (r.tb.Eng.Now() - start).Seconds() * 1000
+		pullTime = (tb.Eng.Now() - start).Seconds() * 1000
 	})
 
 	return AblationRow{

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/core"
+)
 
 func TestAblationClientLock(t *testing.T) {
 	if testing.Short() {
@@ -62,11 +66,39 @@ func TestAblationImagePull(t *testing.T) {
 	}
 }
 
+// TestAllAblationsComplete also holds the ablations to the harness:
+// the Observer hook sees all ten testbeds they build (two per
+// ablation), each passes the drain checks, and the rows equal
+// harness_quick.txt.
 func TestAllAblationsComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
+	passed := map[*core.Testbed]bool{}
+	Observer = func(tb *core.Testbed) { passed[tb] = false }
+	Drained = func(tb *core.Testbed, vs []Violation) {
+		if _, seen := passed[tb]; seen && len(vs) == 0 {
+			passed[tb] = true
+		}
+		for _, v := range vs {
+			t.Errorf("drain: %v", v)
+		}
+	}
+	defer func() { Observer, Drained = nil, nil }()
 	rows := AllAblations(QuickScale)
+	if len(passed) != 10 {
+		t.Errorf("Observer saw %d testbeds, want 10", len(passed))
+	}
+	for _, ok := range passed {
+		if !ok {
+			t.Error("an observed testbed never passed the drain checks")
+		}
+	}
+	rendered := make([]string, len(rows))
+	for i, r := range rows {
+		rendered[i] = "  " + r.String()
+	}
+	checkHarnessRows(t, "ablations", rendered)
 	if len(rows) != 5 {
 		t.Fatalf("ablation count = %d", len(rows))
 	}

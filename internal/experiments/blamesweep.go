@@ -1,135 +1,52 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/blame"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/obs"
-	"repro/internal/sim"
-	"repro/internal/vfsapi"
-	"repro/internal/workloads"
 )
 
-// BlameSweepCase selects one scenario of the blame sweep: Fileserver
-// instances of one client configuration, optionally next to the
-// RandomIO lock-stress neighbour — the Fig 1 interference narrative
-// the blame engine exists to explain.
-type BlameSweepCase struct {
-	Config   core.Configuration // ConfigK or ConfigD
-	FLSCount int
-	Neighbor bool // colocate the RND neighbour on its reserved cores
-}
-
-// Label renders the case in the paper's workload notation.
-func (c BlameSweepCase) Label() string {
-	s := fmt.Sprintf("%dFLS/%s", c.FLSCount, c.Config)
-	if c.Neighbor {
-		s += "+1RND"
-	}
-	return s
-}
-
-// BlameSweepCases returns the swept scenarios: the kernel client alone,
-// the kernel client with the lock-stress neighbour (where flusher core
-// theft and i_mutex/lru_lock interference appear), and Danaus under
-// the same pressure for contrast.
-func BlameSweepCases() []BlameSweepCase {
-	return []BlameSweepCase{
+// BlameSweepCases returns the swept scenarios, Fig 1 interference
+// cases the blame engine exists to explain: the kernel client alone,
+// the kernel client with the RandomIO lock-stress neighbour (where
+// flusher core theft and i_mutex/lru_lock interference appear), and
+// Danaus under the same pressure for contrast.
+func BlameSweepCases() []InterferenceCase {
+	return []InterferenceCase{
 		{Config: core.ConfigK, FLSCount: 2},
-		{Config: core.ConfigK, FLSCount: 2, Neighbor: true},
-		{Config: core.ConfigD, FLSCount: 2, Neighbor: true},
+		{Config: core.ConfigK, FLSCount: 2, Neighbor: "RND"},
+		{Config: core.ConfigD, FLSCount: 2, Neighbor: "RND"},
 	}
 }
 
-// RunBlameSweep executes one blame-sweep case with its own recorder
-// (independent of the danausbench -trace hook) and returns the blame
-// analysis of the full run plus the recording itself, for artifact
-// export and leak/determinism checks. A non-nil WhatIf re-runs the
-// scenario under the modified cost model: parameter knobs rewrite the
-// testbed's Params before construction, and flusher pinning confines
-// the kernel writeback threads to the Fileserver pools' own cores so
-// they cannot steal the neighbour's reservation.
-func RunBlameSweep(c BlameSweepCase, scale Scale, w *blame.WhatIf) (blame.Report, *obs.Recorder) {
-	cores := 2 * (c.FLSCount + 1)
-	params := scale.Params()
+// RunBlameSweep executes one blame-sweep case, the interference run of
+// RunInterference, with its own recorder (independent of the danausbench
+// -trace hook) and returns the blame analysis of the full run plus the
+// recording itself, for artifact export and leak/determinism checks. A
+// non-nil WhatIf re-runs the scenario under the modified cost model:
+// parameter knobs rewrite the testbed's Params before construction,
+// and flusher pinning confines the kernel writeback threads to the
+// Fileserver pools' own cores so they cannot steal the neighbour's
+// reservation.
+func RunBlameSweep(c InterferenceCase, scale Scale, w *blame.WhatIf) (blame.Report, *obs.Recorder) {
+	// The private recorder's SampleInterval stays zero: it adds no
+	// engine events, so the schedule is event-for-event the unobserved
+	// one.
+	s := interferenceSpec(c, scale)
+	s.Private = true
+	label := c.Label()
 	if w != nil {
-		w.Apply(params)
+		s.Params = scale.Params()
+		w.Apply(s.Params)
+		if w.Spec != "" {
+			label += " [" + w.Spec + "]"
+		}
 	}
-	tb := core.NewTestbed(core.TestbedConfig{Cores: cores, Params: params})
-	// SampleInterval stays zero: the recorder adds no engine events, so
-	// the schedule is event-for-event the unobserved one.
-	rec := obs.New(obs.Config{Clock: tb.Eng.Now})
-	tb.AttachObserver(rec)
+	tb, conts := s.Testbed()
 	if w != nil && w.FlusherPinned {
 		tb.Kernel.SetFlusherMask(cpu.MaskRange(0, 2*c.FLSCount))
 	}
-	r := &rig{tb: tb}
-
-	label := c.Label()
-	if w != nil && w.Spec != "" {
-		label += " [" + w.Spec + "]"
-	}
-
-	type flsInst struct {
-		c *core.Container
-		w *workloads.Fileserver
-	}
-	insts := make([]flsInst, c.FLSCount)
-	for i := range insts {
-		_, cont, err := r.flsContainer(i, c.Config, scale)
-		if err != nil {
-			panic(err)
-		}
-		insts[i] = flsInst{c: cont, w: newFileserver(cont, scale, int64(i)+1)}
-	}
-
-	nbrMask := cpu.MaskRange(2*c.FLSCount, 2*c.FLSCount+2)
-	nbrPool := r.tb.NewPool("neighbor", nbrMask, scale.PoolMem())
-	var rnd *workloads.RandomIO
-	if c.Neighbor {
-		rnd = &workloads.RandomIO{
-			FS:         kernelLocalFS(r.tb),
-			Path:       "/rndfile",
-			NewThread:  func() *cpu.Thread { return r.tb.CPU.NewThread(nbrPool.Acct, nbrPool.Mask) },
-			Seed:       99,
-			LockStress: r.tb.Kernel.SmallOpLockStress,
-		}
-		rnd.Defaults(scale.Factor)
-	}
-
-	r.runMaster(func(p *sim.Proc) {
-		preps := make([]func(pp *sim.Proc), 0, len(insts)+1)
-		for _, in := range insts {
-			in := in
-			preps = append(preps, func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: in.c.NewThread()}
-				if err := in.w.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			})
-		}
-		if rnd != nil {
-			preps = append(preps, func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: r.tb.CPU.NewThread(nbrPool.Acct, nbrPool.Mask)}
-				if err := rnd.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			})
-		}
-		prepare(p, r.tb.Eng, preps...)
-
-		clock := clockFor(r.tb.Eng, scale)
-		g := workloads.NewGroup(r.tb.Eng)
-		for _, in := range insts {
-			in.w.Run(g, clock)
-		}
-		if rnd != nil {
-			rnd.Run(g, clock)
-		}
-		g.Wait(p)
-	})
-
-	return blame.Analyze(label, rec), rec
+	runInterference(c, scale, tb, conts)
+	return blame.Analyze(label, tb.Obs), tb.Obs
 }

@@ -20,7 +20,7 @@ func TestBlameDecompositionInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	c := BlameSweepCase{Config: core.ConfigK, FLSCount: 2, Neighbor: true}
+	c := InterferenceCase{Config: core.ConfigK, FLSCount: 2, Neighbor: "RND"}
 	rep, rec := RunBlameSweep(c, QuickScale, nil)
 
 	if leaks := rec.LeakedSpans(); len(leaks) != 0 {
@@ -65,7 +65,7 @@ func TestBlameSweepGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	c := BlameSweepCase{Config: core.ConfigK, FLSCount: 2, Neighbor: true}
+	c := InterferenceCase{Config: core.ConfigK, FLSCount: 2, Neighbor: "RND"}
 	rep1, _ := RunBlameSweep(c, QuickScale, nil)
 	rep2, _ := RunBlameSweep(c, QuickScale, nil)
 
@@ -100,7 +100,7 @@ func TestBlameWhatIf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	c := BlameSweepCase{Config: core.ConfigK, FLSCount: 2, Neighbor: true}
+	c := InterferenceCase{Config: core.ConfigK, FLSCount: 2, Neighbor: "RND"}
 	base, _ := RunBlameSweep(c, QuickScale, nil)
 
 	w, err := blame.ParseWhatIf("lockcs=0.5,flusher=pinned")

@@ -1,8 +1,14 @@
 // Package experiments reproduces every figure of the paper's
-// evaluation (§2.1 motivation and §6 evaluation): each Fig* runner
-// builds the Fig 5 testbed, deploys container pools with the requested
-// Table 1 configurations, drives the Table 2 workloads, and returns
-// typed result rows mirroring the published plots.
+// evaluation (§2.1 motivation and §6 evaluation) and runs the isolation
+// sweeps built on the same testbed. Every runner declares its Fig 5
+// testbed as a Scenario: 2-core pools with private clients (scaleout),
+// empty neighbour pools, or one whole-host pool of clones sharing a
+// client over a shared image (scaleup), with an optional cost-model
+// override. Scenario.Testbed builds it, the runner's master drives the
+// Table 2 workloads, and Drive ends every run in the same drain checks
+// (timeout ledger, admission accounting, span leaks), reported through
+// the Drained sink. Each runner returns typed result rows mirroring the
+// published plots.
 package experiments
 
 import (
@@ -74,26 +80,12 @@ func (s Scale) Params() *model.Params {
 	return p
 }
 
-// Observer, when non-nil, is invoked on every freshly built testbed
-// before any pool exists — the hook through which danausbench attaches
-// an observability recorder (core.Testbed.AttachObserver) to the runs
-// of an experiment. Nil keeps experiments observation-free.
+// Observer, when non-nil, is invoked on every testbed Scenario.Testbed
+// builds, before any pool exists, except a Private run's — the hook
+// through which danausbench attaches an observability recorder
+// (core.Testbed.AttachObserver) to the runs of an experiment. Nil keeps
+// experiments observation-free.
 var Observer func(tb *core.Testbed)
-
-// rig bundles a testbed under experiment control.
-type rig struct {
-	tb *core.Testbed
-}
-
-// newScaledRig builds a testbed with the scale's cost model and the
-// given overload policy (nil = unprotected) and hands it to Observer.
-func newScaledRig(cores int, scale Scale, pol *core.OverloadPolicy) *rig {
-	tb := core.NewTestbed(core.TestbedConfig{Cores: cores, Params: scale.Params(), Overload: pol})
-	if Observer != nil {
-		Observer(tb)
-	}
-	return &rig{tb: tb}
-}
 
 // protection returns the overload policy of a sweep's protected cases
 // (admission control, circuit breaker, brownout), or nil.
@@ -104,31 +96,14 @@ func protection(on bool) *core.OverloadPolicy {
 	return &core.OverloadPolicy{RetrySeed: 1}
 }
 
-// runMaster executes fn as the orchestration process and drains the
-// engine afterwards.
-func (r *rig) runMaster(fn func(p *sim.Proc)) {
-	r.tb.Eng.Go("master", func(p *sim.Proc) {
-		fn(p)
-		r.tb.Stop()
-	})
-	r.tb.Eng.Run()
-}
-
-// flsContainer provisions directories and creates one Fileserver
-// container of the given configuration in its own 2-core pool at index
-// i (cores 2i, 2i+1).
-func (r *rig) flsContainer(i int, config core.Configuration, scale Scale) (*core.Pool, *core.Container, error) {
-	name := fmt.Sprintf("fls%d", i)
-	upper := "/containers/" + name
-	if err := r.tb.Cluster.ProvisionDir(upper); err != nil {
-		return nil, nil, err
+// flsPools returns n 2-core pools fls0, fls1, ... of one configuration,
+// each with one container and a private client.
+func flsPools(n int, config core.Configuration) []PoolSpec {
+	pools := make([]PoolSpec, n)
+	for i := range pools {
+		pools[i] = PoolSpec{Name: fmt.Sprintf("fls%d", i), Config: config}
 	}
-	pool := r.tb.NewPool(name, cpu.MaskRange(2*i, 2*i+2), scale.PoolMem())
-	c, err := pool.NewContainer(name, core.MountSpec{Config: config, UpperDir: upper})
-	if err != nil {
-		return nil, nil, err
-	}
-	return pool, c, nil
+	return pools
 }
 
 // newFileserver builds a Fileserver workload bound to a container.
@@ -143,21 +118,57 @@ func newFileserver(c *core.Container, scale Scale, seed int64) *workloads.Filese
 	return w
 }
 
-// prepare runs the given preparation functions concurrently (each on
-// its own process) and waits for all of them.
-func prepare(p *sim.Proc, eng *sim.Engine, fns ...func(pp *sim.Proc)) {
-	g := workloads.NewGroup(eng)
-	for i, fn := range fns {
-		fn := fn
-		g.Go(fmt.Sprintf("prep%d", i), fn)
+// localFS is the host's local ext4 mount behind the syscall entry
+// costs: where the RND and WBS neighbours keep their datasets.
+func localFS(tb *core.Testbed) vfsapi.FileSystem {
+	return kern.NewSyscalls(tb.Kernel, tb.LocalFS)
+}
+
+// load is one workload of a figure run: prepared on a fresh thread
+// from thread before the clock starts (nil prepare: nothing to
+// prepare), then run against the clock.
+type load struct {
+	prepare func(vfsapi.Ctx) error
+	thread  func() *cpu.Thread
+	run     func(*workloads.Group, workloads.Clock)
+}
+
+// prepLoads prepares the loads concurrently, one proc each (prep0,
+// prep1, ...), and waits for all of them.
+func prepLoads(p *sim.Proc, tb *core.Testbed, loads []load) {
+	g := workloads.NewGroup(tb.Eng)
+	for i, l := range loads {
+		if l.prepare == nil {
+			continue
+		}
+		l := l
+		g.Go(fmt.Sprintf("prep%d", i), func(pp *sim.Proc) {
+			if err := l.prepare(vfsapi.Ctx{P: pp, T: l.thread()}); err != nil {
+				panic(err)
+			}
+		})
 	}
 	g.Wait(p)
 }
 
-// newSyscallLocal wraps the host's local ext4 mount with syscall entry
-// costs (the path RND and WBS take to their local datasets).
-func newSyscallLocal(tb *core.Testbed) vfsapi.FileSystem {
-	return kern.NewSyscalls(tb.Kernel, tb.LocalFS)
+// runLoads prepares the loads, starts the clock start returns (which
+// may arm measurement windows on it) and runs every load against it,
+// in order, until all of them finish.
+func runLoads(p *sim.Proc, tb *core.Testbed, start func() workloads.Clock, loads ...load) workloads.Clock {
+	prepLoads(p, tb, loads)
+	clock := start()
+	g := workloads.NewGroup(tb.Eng)
+	for _, l := range loads {
+		l.run(g, clock)
+	}
+	g.Wait(p)
+	return clock
+}
+
+// clockNow is the clock of the unwindowed figures: it starts at once
+// and measures every operation until the workloads finish.
+func clockNow(tb *core.Testbed) func() workloads.Clock {
+	return func() workloads.Clock { return workloads.Clock{Eng: tb.Eng, From: tb.Eng.Now()} }
 }
 
 // clockFor starts a measurement window at now+warmup.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/sim"
-	"repro/internal/vfsapi"
 	"repro/internal/workloads"
 )
 
@@ -48,126 +47,75 @@ func (c InterferenceCase) Label() string {
 	return s
 }
 
+// String renders the row for the harness.
+func (r InterferenceRow) String() string {
+	return fmt.Sprintf("%-14s %9.1f MB/s   neighbor-cores %6.1f%%   lock wait/req %-12v hold/req %v",
+		r.Label, r.FLSThroughputMBps, r.NeighborCoreUtilPct, r.LockWaitPerReq, r.LockHoldPerReq)
+}
+
+// interferenceSpec is one Fig 1/6a/6b case as a scenario: FLSCount
+// Fileserver pools of the case's configuration and, on the last two
+// cores, the always-reserved neighbour pool. Enabled cores are two per
+// instance including the neighbour, matching the paper's "twice the
+// number of running instances".
+func interferenceSpec(c InterferenceCase, scale Scale) Scenario {
+	pools := append(flsPools(c.FLSCount, c.Config), PoolSpec{Name: "neighbor", NoContainer: true})
+	return Scenario{Scale: scale, Cores: 2 * (c.FLSCount + 1), Pools: pools}
+}
+
 // RunInterference executes one Fig 1/6a/6b case: FLSCount Fileserver
 // instances over the given client configuration, with the neighbour
 // pool always reserved (2 cores) and optionally running RND or WBS.
 func RunInterference(c InterferenceCase, scale Scale) InterferenceRow {
-	// Enabled cores: two per instance including the neighbour pool,
-	// matching the paper's "twice the number of running instances".
-	cores := 2 * (c.FLSCount + 1)
-	r := newScaledRig(cores, scale, nil)
-	row := InterferenceRow{Label: c.Label()}
-
-	// Fileserver pools and containers on the cluster.
-	type flsInst struct {
-		c *core.Container
-		w *workloads.Fileserver
-	}
-	insts := make([]flsInst, c.FLSCount)
-	for i := range insts {
-		_, cont, err := r.flsContainer(i, c.Config, scale)
-		if err != nil {
-			panic(err)
-		}
-		insts[i] = flsInst{c: cont, w: newFileserver(cont, scale, int64(i)+1)}
-	}
-
-	// The neighbour pool occupies the last two cores.
-	nbrMask := cpu.MaskRange(2*c.FLSCount, 2*c.FLSCount+2)
-	nbrPool := r.tb.NewPool("neighbor", nbrMask, scale.PoolMem())
-
-	var rnd *workloads.RandomIO
-	var wbs *workloads.Webserver
-	localFS := kernelLocalFS(r.tb)
-	switch c.Neighbor {
-	case "RND":
-		rnd = &workloads.RandomIO{
-			FS:         localFS,
-			Path:       "/rndfile",
-			NewThread:  func() *cpu.Thread { return r.tb.CPU.NewThread(nbrPool.Acct, nbrPool.Mask) },
-			Seed:       99,
-			LockStress: r.tb.Kernel.SmallOpLockStress,
-		}
-		rnd.Defaults(scale.Factor)
-	case "WBS":
-		wbs = &workloads.Webserver{
-			FS:        localFS,
-			Dir:       "/web",
-			NewThread: func() *cpu.Thread { return r.tb.CPU.NewThread(nbrPool.Acct, nbrPool.Mask) },
-			Seed:      77,
-		}
-		wbs.Defaults(scale.Factor)
-	}
-
-	r.runMaster(func(p *sim.Proc) {
-		// Preparation: FLS filesets in parallel, neighbour dataset too.
-		preps := make([]func(pp *sim.Proc), 0, len(insts)+1)
-		for _, in := range insts {
-			in := in
-			preps = append(preps, func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: in.c.NewThread()}
-				if err := in.w.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			})
-		}
-		if rnd != nil {
-			preps = append(preps, func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: r.tb.CPU.NewThread(nbrPool.Acct, nbrPool.Mask)}
-				if err := rnd.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			})
-		}
-		if wbs != nil {
-			preps = append(preps, func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: r.tb.CPU.NewThread(nbrPool.Acct, nbrPool.Mask)}
-				if err := wbs.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			})
-		}
-		prepare(p, r.tb.Eng, preps...)
-
-		clock := clockFor(r.tb.Eng, scale)
-		utilWindow(r.tb, clock, nbrMask, &row.NeighborCoreUtilPct)
-		utilWindow(r.tb, clock, cpu.MaskRange(0, 2*c.FLSCount), &row.FLSCoreUtilPct)
-		lockWindow(r.tb, clock, &row.LockWaitPerReq, &row.LockHoldPerReq)
-		var iowaitStart time.Duration
-		r.tb.Eng.After(clock.From-r.tb.Eng.Now(), func() {
-			for _, in := range insts {
-				iowaitStart += in.c.Pool.Acct.IOWait()
-			}
-		})
-		defer func() {}()
-
-		g := workloads.NewGroup(r.tb.Eng)
-		for _, in := range insts {
-			in.w.Run(g, clock)
-		}
-		if rnd != nil {
-			rnd.Run(g, clock)
-		}
-		if wbs != nil {
-			wbs.Run(g, clock)
-		}
-		g.Wait(p)
-
-		var mbps float64
-		for _, in := range insts {
-			mbps += in.w.Stats.ThroughputMBps(clock.Window())
-			row.FLSIOWait += in.c.Pool.Acct.IOWait()
-		}
-		row.FLSIOWait -= iowaitStart
-		row.FLSThroughputMBps = mbps
-	})
-	return row
+	tb, conts := interferenceSpec(c, scale).Testbed()
+	return runInterference(c, scale, tb, conts)
 }
 
-// kernelLocalFS returns the syscall-wrapped local ext4 filesystem of
-// the host (where RND and WBS keep their data).
-func kernelLocalFS(tb *core.Testbed) vfsapi.FileSystem {
-	return newSyscallLocal(tb)
+// runInterference drives a built interference testbed to its row.
+func runInterference(c InterferenceCase, scale Scale, tb *core.Testbed, conts []*core.Container) InterferenceRow {
+	row := InterferenceRow{Label: c.Label()}
+	fls := conts[:c.FLSCount]
+	nbr := tb.Pools()[c.FLSCount]
+	loads := make([]load, 0, len(fls)+1)
+	servers := make([]*workloads.Fileserver, len(fls))
+	for i, cont := range fls {
+		w := newFileserver(cont, scale, int64(i)+1)
+		servers[i] = w
+		loads = append(loads, load{w.Prepare, w.NewThread, w.Run})
+	}
+	switch c.Neighbor {
+	case "RND":
+		w := &workloads.RandomIO{FS: localFS(tb), Path: "/rndfile", NewThread: nbr.NewThread, Seed: 99,
+			LockStress: tb.Kernel.SmallOpLockStress}
+		w.Defaults(scale.Factor)
+		loads = append(loads, load{w.Prepare, w.NewThread, w.Run})
+	case "WBS":
+		w := &workloads.Webserver{FS: localFS(tb), Dir: "/web", NewThread: nbr.NewThread, Seed: 77}
+		w.Defaults(scale.Factor)
+		loads = append(loads, load{w.Prepare, w.NewThread, w.Run})
+	}
+
+	Drive(tb, func(p *sim.Proc) {
+		var iowaitStart time.Duration
+		clock := runLoads(p, tb, func() workloads.Clock {
+			clock := clockFor(tb.Eng, scale)
+			utilWindow(tb, clock, nbr.Mask, &row.NeighborCoreUtilPct)
+			utilWindow(tb, clock, cpu.MaskRange(0, 2*c.FLSCount), &row.FLSCoreUtilPct)
+			lockWindow(tb, clock, &row.LockWaitPerReq, &row.LockHoldPerReq)
+			tb.Eng.After(clock.From-tb.Eng.Now(), func() {
+				for _, cont := range fls {
+					iowaitStart += cont.Pool.Acct.IOWait()
+				}
+			})
+			return clock
+		}, loads...)
+		for i, w := range servers {
+			row.FLSThroughputMBps += w.Stats.ThroughputMBps(clock.Window())
+			row.FLSIOWait += fls[i].Pool.Acct.IOWait()
+		}
+		row.FLSIOWait -= iowaitStart
+	})
+	return row
 }
 
 // Fig1Cases returns the §2.1 motivation cases (kernel client only).
@@ -181,27 +129,20 @@ func Fig1Cases() []InterferenceCase {
 }
 
 // Fig6aCases returns the Fig 6a comparison (D vs K, with/without RND).
-func Fig6aCases() []InterferenceCase {
-	var out []InterferenceCase
-	for _, cfg := range []core.Configuration{core.ConfigK, core.ConfigD} {
-		for _, n := range []int{1, 7} {
-			out = append(out,
-				InterferenceCase{Config: cfg, FLSCount: n},
-				InterferenceCase{Config: cfg, FLSCount: n, Neighbor: "RND"},
-			)
-		}
-	}
-	return out
-}
+func Fig6aCases() []InterferenceCase { return neighborCases("RND") }
 
 // Fig6bCases returns the Fig 6b comparison (D vs K, with/without WBS).
-func Fig6bCases() []InterferenceCase {
+func Fig6bCases() []InterferenceCase { return neighborCases("WBS") }
+
+// neighborCases pairs K and then D at 1 and 7 Fileserver instances,
+// each alone and next to the neighbour.
+func neighborCases(neighbor string) []InterferenceCase {
 	var out []InterferenceCase
 	for _, cfg := range []core.Configuration{core.ConfigK, core.ConfigD} {
 		for _, n := range []int{1, 7} {
 			out = append(out,
 				InterferenceCase{Config: cfg, FLSCount: n},
-				InterferenceCase{Config: cfg, FLSCount: n, Neighbor: "WBS"},
+				InterferenceCase{Config: cfg, FLSCount: n, Neighbor: neighbor},
 			)
 		}
 	}
@@ -244,39 +185,32 @@ func Fig6cCases() []SysbenchCase {
 	}
 }
 
+// String renders the row for the harness.
+func (r SysbenchRow) String() string {
+	return fmt.Sprintf("%-14s ssb-p99 %-12v fls-avg %-12v ssb-cores %6.1f%%",
+		r.Label, r.SSBLatencyP99, r.FLSLatencyAvg, r.SSBCoreUtilPct)
+}
+
 // RunSysbench executes one Fig 6c case: 1 FLS instance next to an
-// optional Sysbench CPU instance.
+// optional Sysbench CPU instance in the reserved ssb pool.
 func RunSysbench(c SysbenchCase, scale Scale) SysbenchRow {
-	r := newScaledRig(4, scale, nil)
+	s := Scenario{Scale: scale, Cores: 4, Pools: append(flsPools(1, c.Config), PoolSpec{Name: "ssb", NoContainer: true})}
+	tb, conts := s.Testbed()
 	row := SysbenchRow{Label: c.Label()}
-	_, cont, err := r.flsContainer(0, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
-	fls := newFileserver(cont, scale, 1)
-
-	ssbMask := cpu.MaskRange(2, 4)
-	ssbPool := r.tb.NewPool("ssb", ssbMask, scale.PoolMem())
-	ssb := &workloads.Sysbench{
-		NewThread: func() *cpu.Thread { return r.tb.CPU.NewThread(ssbPool.Acct, ssbPool.Mask) },
-	}
+	fls := newFileserver(conts[0], scale, 1)
+	ssbPool := tb.Pools()[1]
+	ssb := &workloads.Sysbench{NewThread: ssbPool.NewThread}
 	ssb.Defaults()
-
-	r.runMaster(func(p *sim.Proc) {
-		prepare(p, r.tb.Eng, func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
-			if err := fls.Prepare(ctx); err != nil {
-				panic(err)
-			}
-		})
-		clock := clockFor(r.tb.Eng, scale)
-		utilWindow(r.tb, clock, ssbMask, &row.SSBCoreUtilPct)
-		g := workloads.NewGroup(r.tb.Eng)
-		fls.Run(g, clock)
-		if c.WithSSB {
-			ssb.Run(g, clock)
-		}
-		g.Wait(p)
+	loads := []load{{fls.Prepare, fls.NewThread, fls.Run}}
+	if c.WithSSB {
+		loads = append(loads, load{run: ssb.Run})
+	}
+	Drive(tb, func(p *sim.Proc) {
+		runLoads(p, tb, func() workloads.Clock {
+			clock := clockFor(tb.Eng, scale)
+			utilWindow(tb, clock, ssbPool.Mask, &row.SSBCoreUtilPct)
+			return clock
+		}, loads...)
 		row.FLSLatencyAvg = fls.Stats.Latency.Mean()
 		if c.WithSSB {
 			row.SSBLatencyP99 = ssb.Stats.Latency.Quantile(0.99)

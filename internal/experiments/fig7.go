@@ -38,162 +38,102 @@ const (
 	PhaseGet
 )
 
-// kvInstance is one running KV store bound to a container.
-type kvInstance struct {
-	cont *core.Container
-	db   *kvstore.DB
-	put  *workloads.KVPut
-	get  *workloads.KVGet
-	keys []uint64
-}
-
-// openKV opens a store on the container's root filesystem.
-func openKV(ctx vfsapi.Ctx, r *rig, cont *core.Container, scale Scale) (*kvstore.DB, error) {
-	memtable := int64(float64(64<<20) * scale.Factor * 4)
-	if memtable < 4<<20 {
-		memtable = 4 << 20
-	}
-	return kvstore.Open(ctx, kvstore.Config{
-		FS:            cont.Mount.Default,
-		Dir:           "/rocksdb",
-		MemtableBytes: memtable,
-		Eng:           r.tb.Eng,
-		Params:        r.tb.Params,
-		NewThread:     cont.NewThread,
-	})
-}
-
 // RunKVScaleout executes one Fig 7a/7b point: `pools` independent
 // container pools, each with a private client and a private store.
 func RunKVScaleout(config core.Configuration, pools int, phase KVPhase, scale Scale) KVRow {
-	r := newScaledRig(2*pools, scale, nil)
-	row := KVRow{Config: config, Count: pools}
-	insts := make([]*kvInstance, pools)
-	for i := range insts {
-		_, cont, err := r.flsContainer(i, config, scale)
-		if err != nil {
-			panic(err)
-		}
-		insts[i] = &kvInstance{cont: cont}
-	}
-	runKV(r, insts, phase, scale, &row)
-	return row
+	tb, conts := Scenario{Scale: scale, Cores: 2 * pools, Pools: flsPools(pools, config)}.Testbed()
+	return runKV(tb, conts, phase, scale, KVRow{Config: config, Count: pools})
 }
 
 // RunKVScaleup executes one Fig 7c/7d point: `clones` cloned containers
 // in a single pool, sharing one backend client under private unions.
 func RunKVScaleup(config core.Configuration, clones int, phase KVPhase, scale Scale) KVRow {
-	cores := 2 * clones
+	tb, _ := scaleupSpec("clone", config, 64, scale, Scaleup{Clones: clones, Mem: int64(clones), Lower: "/images/base",
+		Image: []File{{Path: "/images/base/etc/os-release", Size: 4 << 10}}}).Testbed()
+	return runKV(tb, tb.Pools()[0].Containers(), phase, scale, KVRow{Config: config, Count: clones})
+}
+
+// scaleupSpec is one scaleup point: a host of 2 cores per clone (at
+// least 4, at most maxCores) holding one whole-host pool, name, of
+// clones of config.
+func scaleupSpec(name string, config core.Configuration, maxCores int, scale Scale, up Scaleup) Scenario {
+	cores := 2 * up.Clones
+	if cores > maxCores {
+		cores = maxCores
+	}
 	if cores < 4 {
 		cores = 4
 	}
-	if cores > 64 {
-		cores = 64
-	}
-	r := newScaledRig(cores, scale, nil)
-	row := KVRow{Config: config, Count: clones}
-
-	if err := r.tb.Cluster.ProvisionDir("/images/base/etc"); err != nil {
-		panic(err)
-	}
-	r.tb.Cluster.Provision("/images/base/etc/os-release", 4<<10)
-	pool := r.tb.NewPool("scaleup", r.tb.CPU.AllMask(), scale.PoolMem()*int64(clones))
-
-	insts := make([]*kvInstance, clones)
-	var first *core.Container
-	for i := range insts {
-		upper := fmt.Sprintf("/containers/clone%03d", i)
-		if err := r.tb.Cluster.ProvisionDir(upper); err != nil {
-			panic(err)
-		}
-		spec := core.MountSpec{Config: config, UpperDir: upper, LowerDir: "/images/base"}
-		if first != nil {
-			spec.SharedClient = first.Mount.Client
-			spec.SharedKernelMount = first.Mount.KernelMount
-		}
-		cont, err := pool.NewContainer(fmt.Sprintf("clone%03d", i), spec)
-		if err != nil {
-			panic(err)
-		}
-		if first == nil {
-			first = cont
-		}
-		insts[i] = &kvInstance{cont: cont}
-	}
-	runKV(r, insts, phase, scale, &row)
-	return row
+	return Scenario{Scale: scale, Cores: cores, Pools: []PoolSpec{{Name: name, Config: config, Scaleup: &up}}}
 }
 
-// runKV opens the stores, optionally populates them, runs the measured
-// phase concurrently across instances and averages the latencies.
-func runKV(r *rig, insts []*kvInstance, phase KVPhase, scale Scale, row *KVRow) {
-	r.runMaster(func(p *sim.Proc) {
-		// Open (and for gets, populate) each store concurrently.
-		preps := make([]func(pp *sim.Proc), len(insts))
-		for i, in := range insts {
-			in := in
-			preps[i] = func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: in.cont.NewThread()}
-				db, err := openKV(ctx, r, in.cont, scale)
-				if err != nil {
-					panic(err)
-				}
-				in.db = db
-				if phase == PhaseGet {
-					// The paper populates 8 GB before reading back:
-					// an out-of-core dataset relative to the client
-					// cache.
-					total := int64(float64(8<<30) * scale.Factor)
-					if total < 32<<20 {
-						total = 32 << 20
-					}
-					keys, err := workloads.Populate(ctx, db, total, 128<<10, int64(i)+13)
-					if err != nil {
-						panic(err)
-					}
-					in.keys = keys
-				}
+// runKV opens a store on each container's root filesystem (for gets,
+// populating it too), runs the measured phase concurrently across the
+// stores and averages their mean latencies.
+func runKV(tb *core.Testbed, conts []*core.Container, phase KVPhase, scale Scale, row KVRow) KVRow {
+	memtable := int64(float64(64<<20) * scale.Factor * 4)
+	if memtable < 4<<20 {
+		memtable = 4 << 20
+	}
+	dbs := make([]*kvstore.DB, len(conts))
+	keys := make([][]uint64, len(conts))
+	stats := make([]*workloads.Stats, len(conts))
+	loads := make([]load, len(conts))
+	for i, cont := range conts {
+		i, cont := i, cont
+		open := func(ctx vfsapi.Ctx) (err error) {
+			dbs[i], err = kvstore.Open(ctx, kvstore.Config{FS: cont.Mount.Default, Dir: "/rocksdb",
+				MemtableBytes: memtable, Eng: tb.Eng, Params: tb.Params, NewThread: cont.NewThread})
+			if err != nil || phase != PhaseGet {
+				return err
 			}
-		}
-		prepare(p, r.tb.Eng, preps...)
-
-		clock := workloads.Clock{Eng: r.tb.Eng, From: r.tb.Eng.Now()}
-		g := workloads.NewGroup(r.tb.Eng)
-		for i, in := range insts {
-			switch phase {
-			case PhasePut:
-				in.put = &workloads.KVPut{DB: in.db, Seed: int64(i) + 7, NewThread: in.cont.NewThread}
-				in.put.Defaults(scale.Factor)
-				in.put.Run(g, clock)
-			case PhaseGet:
-				in.get = &workloads.KVGet{DB: in.db, Keys: in.keys, Seed: int64(i) + 7, NewThread: in.cont.NewThread}
-				in.get.Defaults(scale.Factor)
-				in.get.Run(g, clock)
+			// The paper populates 8 GB before reading back: an
+			// out-of-core dataset relative to the client cache.
+			total := int64(float64(8<<30) * scale.Factor)
+			if total < 32<<20 {
+				total = 32 << 20
 			}
+			keys[i], err = workloads.Populate(ctx, dbs[i], total, 128<<10, int64(i)+13)
+			return err
 		}
-		g.Wait(p)
-
-		var putSum, getSum time.Duration
-		var putN, getN int
-		for _, in := range insts {
-			if in.put != nil && in.put.Stats.Latency.Count() > 0 {
-				putSum += in.put.Stats.Latency.Mean()
-				putN++
+		run := func(g *workloads.Group, clock workloads.Clock) {
+			if phase == PhasePut {
+				w := &workloads.KVPut{DB: dbs[i], Seed: int64(i) + 7, NewThread: cont.NewThread}
+				w.Defaults(scale.Factor)
+				stats[i] = w.Stats
+				w.Run(g, clock)
+				return
 			}
-			if in.get != nil && in.get.Stats.Latency.Count() > 0 {
-				getSum += in.get.Stats.Latency.Mean()
-				getN++
+			w := &workloads.KVGet{DB: dbs[i], Keys: keys[i], Seed: int64(i) + 7, NewThread: cont.NewThread}
+			w.Defaults(scale.Factor)
+			stats[i] = w.Stats
+			w.Run(g, clock)
+		}
+		loads[i] = load{open, cont.NewThread, run}
+	}
+	Drive(tb, func(p *sim.Proc) {
+		runLoads(p, tb, clockNow(tb), loads...)
+		// The mean over the stores that measured any operation.
+		var sum time.Duration
+		n := 0
+		for i, s := range stats {
+			if s.Latency.Count() > 0 {
+				sum += s.Latency.Mean()
+				n++
 			}
-			closeCtx := vfsapi.Ctx{P: p, T: in.cont.NewThread()}
-			in.db.Close(closeCtx)
+			dbs[i].Close(vfsapi.Ctx{P: p, T: conts[i].NewThread()})
 		}
-		if putN > 0 {
-			row.PutLatency = putSum / time.Duration(putN)
+		var mean time.Duration
+		if n > 0 {
+			mean = sum / time.Duration(n)
 		}
-		if getN > 0 {
-			row.GetLatency = getSum / time.Duration(getN)
+		if phase == PhasePut {
+			row.PutLatency = mean
+		} else {
+			row.GetLatency = mean
 		}
 	})
+	return row
 }
 
 // Fig7ScaleoutCounts returns the paper's pool sweep (1-32).

@@ -36,62 +36,28 @@ func Fig8Configs() []core.Configuration {
 // Lighttpd containers over a shared client in one pool and measure the
 // time until every webserver is ready.
 func RunStartupScaleup(config core.Configuration, clones int, scale Scale) StartupRow {
-	cores := 16
-	if cores > 2*clones {
-		cores = 2 * clones
-	}
-	if cores < 4 {
-		cores = 4
-	}
-	r := newScaledRig(cores, scale, nil)
-	row := StartupRow{Config: config, Containers: clones}
-
-	// Shared webserver image on the cluster.
-	if err := workloads.ProvisionImage(r.tb.Params, "/images/lighttpd", r.tb.Cluster.Provision); err != nil {
+	// The shared webserver image on the cluster.
+	var image []File
+	if err := workloads.ProvisionImage(scale.Params(), "/images/lighttpd", func(path string, size int64) error {
+		image = append(image, File{Path: path, Size: size})
+		return nil
+	}); err != nil {
 		panic(err)
 	}
-	pool := r.tb.NewPool("web", r.tb.CPU.AllMask(), scale.PoolMem()*8)
-
-	containers := make([]*core.Container, clones)
-	var first *core.Container
-	for i := range containers {
-		upper := fmt.Sprintf("/containers/web%03d", i)
-		if err := r.tb.Cluster.ProvisionDir(upper); err != nil {
-			panic(err)
-		}
-		spec := core.MountSpec{Config: config, UpperDir: upper, LowerDir: "/images/lighttpd"}
-		if first != nil {
-			spec.SharedClient = first.Mount.Client
-			spec.SharedKernelMount = first.Mount.KernelMount
-		}
-		cont, err := pool.NewContainer(fmt.Sprintf("web%03d", i), spec)
-		if err != nil {
-			panic(err)
-		}
-		if first == nil {
-			first = cont
-		}
-		containers[i] = cont
+	tb, _ := scaleupSpec("web", config, 16, scale, Scaleup{Clones: clones, Mem: 8, Lower: "/images/lighttpd", Image: image}).Testbed()
+	pool := tb.Pools()[0]
+	row := StartupRow{Config: config, Containers: clones}
+	loads := make([]load, clones)
+	for i, cont := range pool.Containers() {
+		w := &workloads.Startup{Default: cont.Mount.Default, Legacy: cont.Mount.Legacy, Params: tb.Params,
+			NewThread: cont.NewThread, Stats: workloads.NewStats()}
+		loads[i] = load{run: w.Run}
 	}
-
-	r.runMaster(func(p *sim.Proc) {
-		start := r.tb.Eng.Now()
-		switchStart := pool.Acct.ContextSwitches()
-		clock := workloads.Clock{Eng: r.tb.Eng, From: start}
-		g := workloads.NewGroup(r.tb.Eng)
-		for _, cont := range containers {
-			w := &workloads.Startup{
-				Default:   cont.Mount.Default,
-				Legacy:    cont.Mount.Legacy,
-				Params:    r.tb.Params,
-				NewThread: cont.NewThread,
-				Stats:     workloads.NewStats(),
-			}
-			w.Run(g, clock)
-		}
-		g.Wait(p)
-		row.RealTime = r.tb.Eng.Now() - start
-		row.ContextSwitches = pool.Acct.ContextSwitches() - switchStart
+	Drive(tb, func(p *sim.Proc) {
+		start, switches := tb.Eng.Now(), pool.Acct.ContextSwitches()
+		runLoads(p, tb, clockNow(tb), loads...)
+		row.RealTime = tb.Eng.Now() - start
+		row.ContextSwitches = pool.Acct.ContextSwitches() - switches
 	})
 	return row
 }
@@ -122,76 +88,28 @@ func Fig11Configs() []core.Configuration {
 // containers over a shared client, each appending to (append=true) or
 // reading (append=false) a large file from the shared lower branch.
 func RunFileIOScaleup(config core.Configuration, clones int, append bool, scale Scale) FileIORow {
-	cores := 2 * clones
-	if cores < 4 {
-		cores = 4
-	}
-	if cores > 64 {
-		cores = 64
-	}
-	r := newScaledRig(cores, scale, nil)
-	row := FileIORow{Config: config, Containers: clones}
-
-	// The shared lower branch holds the 2 GB target file (scaled).
+	// The shared lower branch holds the 2 GB target file (scaled), and
+	// the single pool holds every clone (the paper: 64 cores, 200 GB).
 	fileSize := int64(float64(2<<30) * scale.Factor)
 	if fileSize < 16<<20 {
 		fileSize = 16 << 20
 	}
-	if err := r.tb.Cluster.ProvisionDir("/images/data"); err != nil {
-		panic(err)
+	tb, _ := scaleupSpec("fio", config, 64, scale, Scaleup{Clones: clones, Mem: 2 * int64(clones), Lower: "/images/data",
+		Image: []File{{Path: "/images/data/blob", Size: fileSize}}}).Testbed()
+	pool := tb.Pools()[0]
+	row := FileIORow{Config: config, Containers: clones}
+	loads := make([]load, clones)
+	for i, cont := range pool.Containers() {
+		var w runner = &workloads.FileRead{FS: cont.Mount.Default, Path: "/blob", NewThread: cont.NewThread, Stats: workloads.NewStats()}
+		if append {
+			w = &workloads.FileAppend{FS: cont.Mount.Default, Path: "/blob", NewThread: cont.NewThread, Stats: workloads.NewStats()}
+		}
+		loads[i] = load{run: w.Run}
 	}
-	r.tb.Cluster.Provision("/images/data/blob", fileSize)
-
-	// A single pool holding every clone (the paper: 64 cores, 200 GB).
-	pool := r.tb.NewPool("big", r.tb.CPU.AllMask(), scale.PoolMem()*int64(clones)*2)
-
-	containers := make([]*core.Container, clones)
-	var first *core.Container
-	for i := range containers {
-		upper := fmt.Sprintf("/containers/fio%03d", i)
-		if err := r.tb.Cluster.ProvisionDir(upper); err != nil {
-			panic(err)
-		}
-		spec := core.MountSpec{Config: config, UpperDir: upper, LowerDir: "/images/data"}
-		if first != nil {
-			spec.SharedClient = first.Mount.Client
-			spec.SharedKernelMount = first.Mount.KernelMount
-		}
-		cont, err := pool.NewContainer(fmt.Sprintf("fio%03d", i), spec)
-		if err != nil {
-			panic(err)
-		}
-		if first == nil {
-			first = cont
-		}
-		containers[i] = cont
-	}
-
-	r.runMaster(func(p *sim.Proc) {
-		start := r.tb.Eng.Now()
-		clock := workloads.Clock{Eng: r.tb.Eng, From: start}
-		g := workloads.NewGroup(r.tb.Eng)
-		for _, cont := range containers {
-			if append {
-				w := &workloads.FileAppend{
-					FS:        cont.Mount.Default,
-					Path:      "/blob",
-					NewThread: cont.NewThread,
-					Stats:     workloads.NewStats(),
-				}
-				w.Run(g, clock)
-			} else {
-				w := &workloads.FileRead{
-					FS:        cont.Mount.Default,
-					Path:      "/blob",
-					NewThread: cont.NewThread,
-					Stats:     workloads.NewStats(),
-				}
-				w.Run(g, clock)
-			}
-		}
-		g.Wait(p)
-		row.Timespan = r.tb.Eng.Now() - start
+	Drive(tb, func(p *sim.Proc) {
+		start := tb.Eng.Now()
+		runLoads(p, tb, clockNow(tb), loads...)
+		row.Timespan = tb.Eng.Now() - start
 		row.MaxMemory = pool.Memory.MaxSum()
 	})
 	return row

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/vfsapi"
 	"repro/internal/workloads"
 )
 
@@ -29,143 +28,58 @@ type ScaleoutRow struct {
 // each with a private client of the given configuration, running
 // Seqwrite (write=true) or cached Seqread (write=false).
 func RunSeqIOScaleout(config core.Configuration, pools int, write bool, scale Scale) ScaleoutRow {
-	r := newScaledRig(2*pools, scale, nil)
-	row := ScaleoutRow{Config: config, Pools: pools}
-
-	type inst struct {
-		pool *core.Pool
-		c    *core.Container
-		w    *workloads.SeqIO
-	}
-	insts := make([]inst, pools)
-	for i := range insts {
-		pool, cont, err := r.flsContainer(i, config, scale)
-		if err != nil {
-			panic(err)
-		}
-		w := &workloads.SeqIO{
-			FS:        cont.Mount.Default,
-			Dir:       "/seq",
-			Write:     write,
-			NewThread: cont.NewThread,
-		}
+	return runScaleout(config, pools, scale, func(_ int, c *core.Container) (load, *workloads.Stats) {
+		w := &workloads.SeqIO{FS: c.Mount.Default, Dir: "/seq", Write: write, NewThread: c.NewThread}
 		w.Defaults(scale.Factor)
-		insts[i] = inst{pool: pool, c: cont, w: w}
-	}
-
-	r.runMaster(func(p *sim.Proc) {
-		preps := make([]func(pp *sim.Proc), len(insts))
-		for i, in := range insts {
-			in := in
-			preps[i] = func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: in.c.NewThread()}
-				if err := in.w.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			}
-		}
-		prepare(p, r.tb.Eng, preps...)
-
-		clock := clockFor(r.tb.Eng, scale)
-		var userStart, kernStart, iowaitStart time.Duration
-		r.tb.Eng.After(clock.From-r.tb.Eng.Now(), func() {
-			for _, in := range insts {
-				s := in.pool.Acct.Snapshot()
-				userStart += s.UserTime
-				kernStart += s.KernelTime
-				iowaitStart += s.IOWait
-			}
-		})
-
-		g := workloads.NewGroup(r.tb.Eng)
-		for _, in := range insts {
-			in.w.Run(g, clock)
-		}
-		g.Wait(p)
-
-		var user, kern, iowait time.Duration
-		for _, in := range insts {
-			s := in.pool.Acct.Snapshot()
-			user += s.UserTime
-			kern += s.KernelTime
-			iowait += s.IOWait
-		}
-		window := clock.Window()
-		totalCores := float64(2 * pools)
-		row.UserPct = float64(user-userStart) / float64(window) / totalCores * 100
-		row.KernelPct = float64(kern-kernStart) / float64(window) / totalCores * 100
-		row.IOWait = iowait - iowaitStart
-		for _, in := range insts {
-			row.ThroughputMBps += in.w.Stats.ThroughputMBps(window)
-		}
+		return load{w.Prepare, w.NewThread, w.Run}, w.Stats
 	})
-	return row
 }
 
 // RunFileserverScaleout executes one Fig 10 point: `pools` pools each
 // running a Fileserver instance over a private client.
 func RunFileserverScaleout(config core.Configuration, pools int, scale Scale) ScaleoutRow {
-	r := newScaledRig(2*pools, scale, nil)
+	return runScaleout(config, pools, scale, func(i int, c *core.Container) (load, *workloads.Stats) {
+		w := newFileserver(c, scale, int64(i)+1)
+		return load{w.Prepare, w.NewThread, w.Run}, w.Stats
+	})
+}
+
+// runScaleout runs one scaleout point: `pools` 2-core pools, each with
+// a private client of config and the workload newLoad binds to its
+// container. It sums the throughput and averages the pools' user and
+// kernel core shares over the measurement window.
+func runScaleout(config core.Configuration, pools int, scale Scale, newLoad func(int, *core.Container) (load, *workloads.Stats)) ScaleoutRow {
+	tb, conts := Scenario{Scale: scale, Cores: 2 * pools, Pools: flsPools(pools, config)}.Testbed()
 	row := ScaleoutRow{Config: config, Pools: pools}
-
-	type inst struct {
-		pool *core.Pool
-		c    *core.Container
-		w    *workloads.Fileserver
+	loads := make([]load, pools)
+	stats := make([]*workloads.Stats, pools)
+	for i, c := range conts {
+		loads[i], stats[i] = newLoad(i, c)
 	}
-	insts := make([]inst, pools)
-	for i := range insts {
-		pool, cont, err := r.flsContainer(i, config, scale)
-		if err != nil {
-			panic(err)
-		}
-		insts[i] = inst{pool: pool, c: cont, w: newFileserver(cont, scale, int64(i)+1)}
-	}
-
-	r.runMaster(func(p *sim.Proc) {
-		preps := make([]func(pp *sim.Proc), len(insts))
-		for i, in := range insts {
-			in := in
-			preps[i] = func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: in.c.NewThread()}
-				if err := in.w.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			}
-		}
-		prepare(p, r.tb.Eng, preps...)
-
-		clock := clockFor(r.tb.Eng, scale)
-		var userStart, kernStart, iowaitStart time.Duration
-		r.tb.Eng.After(clock.From-r.tb.Eng.Now(), func() {
-			for _, in := range insts {
-				s := in.pool.Acct.Snapshot()
-				userStart += s.UserTime
-				kernStart += s.KernelTime
-				iowaitStart += s.IOWait
-			}
-		})
-
-		g := workloads.NewGroup(r.tb.Eng)
-		for _, in := range insts {
-			in.w.Run(g, clock)
-		}
-		g.Wait(p)
-
-		var user, kern, iowait time.Duration
-		for _, in := range insts {
-			s := in.pool.Acct.Snapshot()
+	acct := func() (user, kern, iowait time.Duration) {
+		for _, c := range conts {
+			s := c.Pool.Acct.Snapshot()
 			user += s.UserTime
 			kern += s.KernelTime
 			iowait += s.IOWait
 		}
+		return
+	}
+	Drive(tb, func(p *sim.Proc) {
+		var userStart, kernStart, iowaitStart time.Duration
+		clock := runLoads(p, tb, func() workloads.Clock {
+			clock := clockFor(tb.Eng, scale)
+			tb.Eng.After(clock.From-tb.Eng.Now(), func() { userStart, kernStart, iowaitStart = acct() })
+			return clock
+		}, loads...)
+		user, kern, iowait := acct()
 		window := clock.Window()
 		totalCores := float64(2 * pools)
 		row.UserPct = float64(user-userStart) / float64(window) / totalCores * 100
 		row.KernelPct = float64(kern-kernStart) / float64(window) / totalCores * 100
 		row.IOWait = iowait - iowaitStart
-		for _, in := range insts {
-			row.ThroughputMBps += in.w.Stats.ThroughputMBps(window)
+		for _, s := range stats {
+			row.ThroughputMBps += s.ThroughputMBps(window)
 		}
 	})
 	return row

@@ -7,7 +7,9 @@ import (
 )
 
 // The figure smoke tests assert the qualitative shape of each result
-// at quick scale: who wins and in which direction, not absolute values.
+// at quick scale: who wins and in which direction. Every point they run
+// is also a harness case, so each row must equal its line of
+// harness_quick.txt too.
 
 func TestFig6cSysbenchIsolation(t *testing.T) {
 	if testing.Short() {
@@ -17,6 +19,9 @@ func TestFig6cSysbenchIsolation(t *testing.T) {
 	kBoth := RunSysbench(SysbenchCase{Config: core.ConfigK, WithSSB: true}, QuickScale)
 	dAlone := RunSysbench(SysbenchCase{Config: core.ConfigD, WithSSB: false}, QuickScale)
 	dBoth := RunSysbench(SysbenchCase{Config: core.ConfigD, WithSSB: true}, QuickScale)
+	for i, row := range []SysbenchRow{kAlone, kBoth, dAlone, dBoth} {
+		checkHarnessRow(t, "fig6c", i, row.String())
+	}
 	t.Logf("K: fls alone %v both %v ssb-p99 %v (ssb cores alone %.1f%%)", kAlone.FLSLatencyAvg, kBoth.FLSLatencyAvg, kBoth.SSBLatencyP99, kAlone.SSBCoreUtilPct)
 	t.Logf("D: fls alone %v both %v ssb-p99 %v (ssb cores alone %.1f%%)", dAlone.FLSLatencyAvg, dBoth.FLSLatencyAvg, dBoth.SSBLatencyP99, dAlone.SSBCoreUtilPct)
 
@@ -43,6 +48,9 @@ func TestFig7aKVPutScaleout(t *testing.T) {
 	d := RunKVScaleout(core.ConfigD, pools, PhasePut, QuickScale)
 	f := RunKVScaleout(core.ConfigF, pools, PhasePut, QuickScale)
 	k := RunKVScaleout(core.ConfigK, pools, PhasePut, QuickScale)
+	checkHarnessRow(t, "fig7a", 3, d.String()) // n=8 is the 4th of 6 counts per config
+	checkHarnessRow(t, "fig7a", 9, f.String())
+	checkHarnessRow(t, "fig7a", 15, k.String())
 	t.Logf("put scaleout n=%d: D=%v F=%v K=%v", pools, d.PutLatency, f.PutLatency, k.PutLatency)
 	if d.PutLatency <= 0 || f.PutLatency <= 0 || k.PutLatency <= 0 {
 		t.Fatal("missing latencies")
@@ -63,6 +71,8 @@ func TestFig7cKVPutScaleup(t *testing.T) {
 	clones := 4
 	d := RunKVScaleup(core.ConfigD, clones, PhasePut, QuickScale)
 	ff := RunKVScaleup(core.ConfigFF, clones, PhasePut, QuickScale)
+	checkHarnessRow(t, "fig7c", 2, d.String()) // n=4 is the 3rd of 6 counts per config
+	checkHarnessRow(t, "fig7c", 8, ff.String())
 	t.Logf("put scaleup n=%d: D=%v F/F=%v", clones, d.PutLatency, ff.PutLatency)
 	// Paper Fig 7c: D clearly beats F/F in put scaleup.
 	if d.PutLatency >= ff.PutLatency {
@@ -74,10 +84,13 @@ func TestFig8StartupScaleup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	n := 8
+	n := 16
 	d := RunStartupScaleup(core.ConfigD, n, QuickScale)
 	kk := RunStartupScaleup(core.ConfigKK, n, QuickScale)
 	ff := RunStartupScaleup(core.ConfigFF, n, QuickScale)
+	checkHarnessRow(t, "fig8", 2, d.String()) // n=16 is the 3rd of 5 counts per config
+	checkHarnessRow(t, "fig8", 7, kk.String())
+	checkHarnessRow(t, "fig8", 17, ff.String())
 	t.Logf("startup n=%d: D=%v(%d sw) K/K=%v(%d sw) F/F=%v(%d sw)",
 		n, d.RealTime, d.ContextSwitches, kk.RealTime, kk.ContextSwitches, ff.RealTime, ff.ContextSwitches)
 	// Paper Fig 8: the kernel path starts containers fastest; D beats
@@ -100,6 +113,8 @@ func TestFig9Seqwrite(t *testing.T) {
 	pools := 4
 	d := RunSeqIOScaleout(core.ConfigD, pools, true, QuickScale)
 	k := RunSeqIOScaleout(core.ConfigK, pools, true, QuickScale)
+	checkHarnessRow(t, "fig9w", 2, d.String()) // pools=4 is the 3rd of 6 counts per config
+	checkHarnessRow(t, "fig9w", 14, k.String())
 	t.Logf("seqwrite n=%d: %s | %s", pools, d, k)
 	// Paper Fig 9 top: D beats K in sequential writes; K accumulates
 	// far more I/O wait.
@@ -115,6 +130,9 @@ func TestFig9Seqread(t *testing.T) {
 	d := RunSeqIOScaleout(core.ConfigD, 1, false, QuickScale)
 	f := RunSeqIOScaleout(core.ConfigF, 1, false, QuickScale)
 	k := RunSeqIOScaleout(core.ConfigK, 1, false, QuickScale)
+	for i, row := range []ScaleoutRow{d, f, k} {
+		checkHarnessRow(t, "fig9r", 6*i, row.String())
+	}
 	t.Logf("seqread n=1: D=%.1f F=%.1f K=%.1f MB/s", d.ThroughputMBps, f.ThroughputMBps, k.ThroughputMBps)
 	// Paper Fig 9 bottom: cached sequential read — K beats D
 	// (client_lock serialization), D beats F (no FUSE crossings).
@@ -133,6 +151,8 @@ func TestFig10FileserverScaleout(t *testing.T) {
 	pools := 8
 	d := RunFileserverScaleout(core.ConfigD, pools, QuickScale)
 	k := RunFileserverScaleout(core.ConfigK, pools, QuickScale)
+	checkHarnessRow(t, "fig10", 3, d.String()) // pools=8 is the 4th of 5 counts per config
+	checkHarnessRow(t, "fig10", 13, k.String())
 	t.Logf("fileserver n=%d: %s | %s", pools, d, k)
 	// Paper Fig 10: D overtakes K by 8 pools.
 	if d.ThroughputMBps <= k.ThroughputMBps {
@@ -148,6 +168,9 @@ func TestFig11aFileappend(t *testing.T) {
 	d := RunFileIOScaleup(core.ConfigD, n, true, QuickScale)
 	kk := RunFileIOScaleup(core.ConfigKK, n, true, QuickScale)
 	ff := RunFileIOScaleup(core.ConfigFF, n, true, QuickScale)
+	checkHarnessRow(t, "fig11a", 4, d.String()) // n=16 is the 5th of 6 counts per config
+	checkHarnessRow(t, "fig11a", 10, kk.String())
+	checkHarnessRow(t, "fig11a", 16, ff.String())
 	t.Logf("fileappend n=%d: %s | %s | %s", n, d, kk, ff)
 	// Paper Fig 11a: D tends to the shortest timespan (up to 46% under
 	// K/K at 32 containers). Our model keeps D competitive with K/K
@@ -172,6 +195,9 @@ func TestFig11bFilereadMemory(t *testing.T) {
 	d := RunFileIOScaleup(core.ConfigD, n, false, QuickScale)
 	fpfp := RunFileIOScaleup(core.ConfigFPFP, n, false, QuickScale)
 	kk := RunFileIOScaleup(core.ConfigKK, n, false, QuickScale)
+	checkHarnessRow(t, "fig11b", 4, d.String())
+	checkHarnessRow(t, "fig11b", 22, fpfp.String())
+	checkHarnessRow(t, "fig11b", 10, kk.String())
 	t.Logf("fileread n=%d: %s | %s | %s", n, d, fpfp, kk)
 	// Paper Fig 11b: FP/FP uses multiples of D's memory (double
 	// caching); K/K finishes faster than D.

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/sim"
-	"repro/internal/vfsapi"
 	"repro/internal/workloads"
 )
 
@@ -28,46 +26,28 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 		end   time.Duration
 	}
 	run := func() outcome {
-		r := newScaledRig(4, scale, nil)
+		s := Scenario{Scale: scale, Cores: 4, Pools: append(flsPools(1, core.ConfigD), PoolSpec{Name: "nbr", NoContainer: true})}
+		tb, conts := s.Testbed()
 		var o outcome
-		r.tb.Eng.SetTracer(func(ev sim.TraceEvent) { o.trace = append(o.trace, ev) })
-		_, cont, err := r.flsContainer(0, core.ConfigD, scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fls := newFileserver(cont, scale, 7)
-		nbrPool := r.tb.NewPool("nbr", cpu.MaskRange(2, 4), scale.PoolMem())
+		tb.Eng.SetTracer(func(ev sim.TraceEvent) { o.trace = append(o.trace, ev) })
+		fls := newFileserver(conts[0], scale, 7)
 		rnd := &workloads.RandomIO{
-			FS:         kernelLocalFS(r.tb),
+			FS:         localFS(tb),
 			Path:       "/rndfile",
-			NewThread:  func() *cpu.Thread { return r.tb.CPU.NewThread(nbrPool.Acct, nbrPool.Mask) },
+			NewThread:  tb.Pools()[1].NewThread,
 			Seed:       3,
-			LockStress: r.tb.Kernel.SmallOpLockStress,
+			LockStress: tb.Kernel.SmallOpLockStress,
 		}
 		rnd.Defaults(scale.Factor)
-		r.runMaster(func(p *sim.Proc) {
-			prepare(p, r.tb.Eng,
-				func(pp *sim.Proc) {
-					ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
-					if err := fls.Prepare(ctx); err != nil {
-						panic(err)
-					}
-				},
-				func(pp *sim.Proc) {
-					ctx := vfsapi.Ctx{P: pp, T: r.tb.CPU.NewThread(nbrPool.Acct, nbrPool.Mask)}
-					if err := rnd.Prepare(ctx); err != nil {
-						panic(err)
-					}
-				})
-			clock := clockFor(r.tb.Eng, scale)
-			g := workloads.NewGroup(r.tb.Eng)
-			fls.Run(g, clock)
-			rnd.Run(g, clock)
-			g.Wait(p)
-		})
-		o.locks = r.tb.Kernel.LockStats()
-		o.util = r.tb.CPU.UtilSnapshot()
-		o.end = r.tb.Eng.Now()
+		if vs := Drive(tb, func(p *sim.Proc) {
+			runLoads(p, tb, func() workloads.Clock { return clockFor(tb.Eng, scale) },
+				load{fls.Prepare, fls.NewThread, fls.Run}, load{rnd.Prepare, rnd.NewThread, rnd.Run})
+		}); len(vs) > 0 {
+			t.Errorf("drain checks: %v", vs)
+		}
+		o.locks = tb.Kernel.LockStats()
+		o.util = tb.CPU.UtilSnapshot()
+		o.end = tb.Eng.Now()
 		return o
 	}
 

@@ -156,20 +156,6 @@ func RunOverloadCase(c OverloadCase, scale Scale) OverloadRow {
 	return row
 }
 
-// OverloadRowViolations checks the aggressor pool's admission ledger
-// on one row with the shared admission checks: the queue never
-// exceeded its cap, and every offered operation is accounted admitted,
-// shed, or in flight, with none left once drained. It returns
-// human-readable violation descriptions (empty = clean).
-func OverloadRowViolations(r OverloadRow) []string {
-	a := TenantAdmission{Tenant: "fls1", QueueCap: r.QueueCap, Stats: r.Admission}
-	var v []string
-	for _, d := range append(BoundedQueueViolations(a), AdmissionAccountingViolations(a)...) {
-		v = append(v, fmt.Sprintf("overloadsweep %s %dx: %s", r.Label, r.Multiplier, d))
-	}
-	return v
-}
-
 // String renders a row for the harness.
 func (r OverloadRow) String() string {
 	prot := "off"

@@ -12,6 +12,7 @@ import (
 	"repro/internal/kern"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -30,6 +31,7 @@ import (
 type Scenario struct {
 	Scale       Scale
 	Cores       int
+	Params      *model.Params        // cost model (nil: Scale.Params())
 	Overload    *core.OverloadPolicy // testbed-wide protection (nil: none)
 	Replication int                  // 0 keeps the cluster default
 	// Private attaches a fresh unsampled recorder in place of the
@@ -42,6 +44,11 @@ type Scenario struct {
 	Monitor *telemetry.Monitor
 	ArmSLOs bool
 	Capture string // non-empty: record the op stream as a trace with this label
+	// Spans attaches a plain recorder before any pool when the Observer
+	// hook did not attach one, so a runner that captures or analyses
+	// the run itself has every mount traced (Monitor and Capture imply
+	// it).
+	Spans bool
 
 	Pools    []PoolSpec
 	Schedule string // faults.Parse syntax, relative to the measurement window
@@ -54,17 +61,34 @@ type Scenario struct {
 // PoolSpec is pool i: cores 2i and 2i+1, the scale's pool memory, and
 // one container of the same name over /containers/<Name>, plus with
 // Clone a <Name>-clone container sharing its client or kernel mount.
-// Before the clock starts, a proc named Prep writes Files in order on a
-// fresh thread of the container, then prepares Tenant's dataset; the
-// pools prepare concurrently.
+// NoContainer leaves the pool empty: a neighbour whose workload runs
+// on the host's local filesystem. Scaleup replaces all of this with a
+// whole-host pool of clones. Before the clock starts, a proc named Prep
+// writes Files in order on a fresh thread of the container, then
+// prepares Tenant's dataset; the pools prepare concurrently.
 type PoolSpec struct {
-	Name       string
-	Config     core.Configuration
-	CacheBytes int64 // user-level client cache (0: default)
-	Clone      bool
-	Prep       string
-	Files      []File
-	Tenant     *TenantLoad
+	Name        string
+	Config      core.Configuration
+	CacheBytes  int64 // user-level client cache (0: default)
+	Clone       bool
+	NoContainer bool
+	Scaleup     *Scaleup
+	Prep        string
+	Files       []File
+	Tenant      *TenantLoad
+}
+
+// Scaleup is the paper's scaleup pool (Fig 7c/d, 8, 11): every core of
+// the host and Mem times the scale's pool memory, holding Clones
+// containers <Name>000, <Name>001, ... Each has its own upper directory
+// /containers/<Name>NNN over the shared lower directory Lower, and all
+// share the first clone's client or kernel mount. The Image files are
+// provisioned on the cluster (Chunk unused) before the pool exists.
+type Scaleup struct {
+	Clones int
+	Mem    int64
+	Lower  string
+	Image  []File
 }
 
 // File is Size bytes appended in whole Chunk-byte chunks (workloads.PrepFile).
@@ -134,6 +158,7 @@ type Run struct {
 	CrashLog         []core.CrashEvent
 	Admission        []TenantAdmission // admission-controlled pools, in pool order
 	Trace            *trace.Trace      // nil without Capture
+	Drain            []Violation       // what the drain checks found
 }
 
 // runner is any workload started against a group and a clock.
@@ -142,20 +167,25 @@ type runner interface {
 }
 
 // Testbed builds the scenario's host, recorder, monitor and pools, and
-// returns each pool's container.
+// returns each pool's container (a scaleup pool's first clone, nil for
+// an empty pool). It is the only place the package builds a testbed,
+// so the Observer hook sees every one but a Private run's.
 func (s Scenario) Testbed() (*core.Testbed, []*core.Container) {
-	tb := core.NewTestbed(core.TestbedConfig{Cores: s.Cores, Params: s.Scale.Params(), Overload: s.Overload})
+	params := s.Params
+	if params == nil {
+		params = s.Scale.Params()
+	}
+	tb := core.NewTestbed(core.TestbedConfig{Cores: s.Cores, Params: params, Overload: s.Overload})
 	if s.Replication > 0 {
 		tb.Cluster.SetReplication(s.Replication)
 	}
-	switch {
-	case s.Private:
-		tb.AttachObserver(obs.New(obs.Config{Clock: tb.Eng.Now}))
-	case Observer != nil:
+	if !s.Private && Observer != nil {
 		Observer(tb)
 	}
-	if s.Monitor != nil || s.Capture != "" {
-		ensureObs(tb) // before any pool, so every mount is traced
+	if tb.Obs == nil && (s.Private || s.Spans || s.Monitor != nil || s.Capture != "") {
+		// A plain unsampled recorder, before any pool so every mount is
+		// traced.
+		tb.AttachObserver(obs.New(obs.Config{Clock: tb.Eng.Now}))
 	}
 	if s.Monitor != nil {
 		if s.ArmSLOs {
@@ -165,11 +195,18 @@ func (s Scenario) Testbed() (*core.Testbed, []*core.Container) {
 	}
 	conts := make([]*core.Container, len(s.Pools))
 	for i, ps := range s.Pools {
+		if up := ps.Scaleup; up != nil {
+			conts[i] = up.build(tb, ps, s.Scale)
+			continue
+		}
+		pool := tb.NewPool(ps.Name, cpu.MaskRange(2*i, 2*i+2), s.Scale.PoolMem())
+		if ps.NoContainer {
+			continue
+		}
 		upper := "/containers/" + ps.Name
 		if err := tb.Cluster.ProvisionDir(upper); err != nil {
 			panic(err)
 		}
-		pool := tb.NewPool(ps.Name, cpu.MaskRange(2*i, 2*i+2), s.Scale.PoolMem())
 		spec := core.MountSpec{Config: ps.Config, UpperDir: upper, CacheBytes: ps.CacheBytes}
 		conts[i] = mustContainer(pool, ps.Name, spec)
 		if ps.Clone {
@@ -178,6 +215,32 @@ func (s Scenario) Testbed() (*core.Testbed, []*core.Container) {
 		}
 	}
 	return tb, conts
+}
+
+// build provisions the image, then creates the whole-host pool and its
+// clones in order, and returns the first clone (nil with none).
+func (up *Scaleup) build(tb *core.Testbed, ps PoolSpec, scale Scale) *core.Container {
+	for _, f := range up.Image {
+		if err := tb.Cluster.Provision(f.Path, f.Size); err != nil {
+			panic(err)
+		}
+	}
+	pool := tb.NewPool(ps.Name, tb.CPU.AllMask(), scale.PoolMem()*up.Mem)
+	var first *core.Container
+	for i := 0; i < up.Clones; i++ {
+		name := fmt.Sprintf("%s%03d", ps.Name, i)
+		if err := tb.Cluster.ProvisionDir("/containers/" + name); err != nil {
+			panic(err)
+		}
+		spec := core.MountSpec{Config: ps.Config, UpperDir: "/containers/" + name, LowerDir: up.Lower}
+		if i == 0 {
+			first = mustContainer(pool, name, spec)
+			continue
+		}
+		spec.SharedClient, spec.SharedKernelMount = first.Mount.Client, first.Mount.KernelMount
+		mustContainer(pool, name, spec)
+	}
+	return first
 }
 
 func mustContainer(pool *core.Pool, name string, spec core.MountSpec) *core.Container {
@@ -190,7 +253,8 @@ func mustContainer(pool *core.Pool, name string, spec core.MountSpec) *core.Cont
 
 // RunScenario builds the testbed, prepares the pools, starts the clock,
 // installs the schedule, runs the probes and tenants, waits out every
-// fault window, and harvests the run once the engine has drained.
+// fault window, and harvests the run once Drive has drained and checked
+// it.
 func RunScenario(s Scenario) *Run {
 	tb, conts := s.Testbed()
 	var capture *trace.Recorder
@@ -202,8 +266,7 @@ func RunScenario(s Scenario) *Run {
 	var writer *workloads.WALWriter
 	var walIno uint64
 
-	tb.Eng.Go("master", func(p *sim.Proc) {
-		defer tb.Stop()
+	run.Drain = Drive(tb, func(p *sim.Proc) {
 		tenants := make([]runner, len(s.Pools))
 		closers := make([]func(p *sim.Proc), len(s.Pools))
 		g := workloads.NewGroup(tb.Eng)
@@ -319,18 +382,13 @@ func RunScenario(s Scenario) *Run {
 			}
 		}
 	})
-	tb.Eng.Run()
 
 	if writer != nil {
 		run.Acked, run.Stored = writer.Acked, tb.Cluster.StoredSize(walIno)
 	}
 	run.Faults = poolFaultStats(tb.Pools()[0])
 	run.CrashLog = tb.CrashLog()
-	for _, pl := range tb.Pools() {
-		if a := pl.Admission; a != nil {
-			run.Admission = append(run.Admission, TenantAdmission{Tenant: pl.Name, QueueCap: a.QueueCap(), Stats: a.Stats()})
-		}
-	}
+	run.Admission = admissions(tb)
 	if capture != nil {
 		run.Trace = capture.Snapshot()
 	}
@@ -410,7 +468,7 @@ func prepareTenant(ctx vfsapi.Ctx, tb *core.Testbed, cont *core.Container, tl Te
 	case "randio":
 		// The paper's noisy neighbour runs on the local ext4 array
 		// through the shared kernel.
-		w = &workloads.RandomIO{FS: kern.NewSyscalls(tb.Kernel, tb.LocalFS), Path: tl.Dir, NewThread: cont.NewThread,
+		w = &workloads.RandomIO{FS: localFS(tb), Path: tl.Dir, NewThread: cont.NewThread,
 			Seed: tl.Seed, Threads: tl.Threads, FileSize: 8 << 20}
 	case "kvput":
 		db, err := kvstore.Open(ctx, kvstore.Config{FS: fs, Dir: tl.Dir, MemtableBytes: 4 << 20,
@@ -429,38 +487,6 @@ func prepareTenant(ctx vfsapi.Ctx, tb *core.Testbed, cont *core.Container, tl Te
 		panic(err)
 	}
 	return w, nil
-}
-
-// TenantAdmission is one pool's admission snapshot at drain.
-type TenantAdmission struct {
-	Tenant   string
-	QueueCap int
-	Stats    vfsapi.AdmissionStats
-}
-
-// BoundedQueueViolations checks that the pool's admission queue never
-// exceeded its cap, the bound load shedding exists to enforce.
-func BoundedQueueViolations(a TenantAdmission) []string {
-	if a.Stats.MaxQueued <= a.QueueCap {
-		return nil
-	}
-	return []string{fmt.Sprintf("pool %s: bounded queue violated: max queued %d > cap %d", a.Tenant, a.Stats.MaxQueued, a.QueueCap)}
-}
-
-// AdmissionAccountingViolations checks that every operation offered to
-// the pool's admission controller is accounted exactly once (admitted,
-// shed, or in flight) and that the drained pool holds none in flight
-// or queued.
-func AdmissionAccountingViolations(a TenantAdmission) []string {
-	var v []string
-	if s := a.Stats; s.Offered != s.Admitted+s.Shed+uint64(s.InFlight) {
-		v = append(v, fmt.Sprintf("pool %s: admission accounting violated: offered %d != admitted %d + shed %d + in-flight %d",
-			a.Tenant, s.Offered, s.Admitted, s.Shed, s.InFlight))
-	}
-	if a.Stats.InFlight != 0 || a.Stats.Queued != 0 {
-		v = append(v, fmt.Sprintf("pool %s: drained with %d in flight, %d queued", a.Tenant, a.Stats.InFlight, a.Stats.Queued))
-	}
-	return v
 }
 
 // CrashEvidence is what a run with a scheduled client crash shows:

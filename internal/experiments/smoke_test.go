@@ -17,6 +17,8 @@ func TestInterferenceSmoke(t *testing.T) {
 		t.Fatal("no FLS throughput")
 	}
 	withRND := RunInterference(InterferenceCase{Config: core.ConfigK, FLSCount: 1, Neighbor: "RND"}, QuickScale)
+	checkHarnessRow(t, "fig1", 0, alone.String())
+	checkHarnessRow(t, "fig1", 1, withRND.String())
 	t.Logf("%s: %.1f MB/s, nbr util %.1f%%", withRND.Label, withRND.FLSThroughputMBps, withRND.NeighborCoreUtilPct)
 	if withRND.FLSThroughputMBps >= alone.FLSThroughputMBps {
 		t.Fatalf("RND colocation did not hurt the kernel client: %.1f vs %.1f",

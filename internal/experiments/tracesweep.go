@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/blame"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vfsapi"
@@ -119,47 +118,41 @@ type TraceSweepResult struct {
 	Replays []*trace.Trace
 }
 
-// ensureObs attaches a plain recorder (no sampling) when the harness
-// has not installed one: trace capture and blame analysis both need
-// the span layer live.
-func ensureObs(tb *core.Testbed) *obs.Recorder {
-	if tb.Obs == nil {
-		tb.AttachObserver(obs.New(obs.Config{Clock: tb.Eng.Now}))
-	}
-	return tb.Obs
-}
-
 // prepTraceFiles creates the production fileset in one container:
-// traceFiles files of traceFileSize bytes each, fsynced.
-func prepTraceFiles(cont *core.Container, size int64) func(pp *sim.Proc) {
-	return func(pp *sim.Proc) {
-		ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
+// traceFiles files of traceFileSize bytes each, appended in 1 MiB
+// chunks (the last one clipped) and fsynced.
+func prepTraceFiles(cont *core.Container, size int64) load {
+	return load{thread: cont.NewThread, prepare: func(ctx vfsapi.Ctx) error {
 		fs := cont.Mount.Default
 		if err := fs.Mkdir(ctx, "/prod"); err != nil {
-			panic(err)
+			return err
 		}
 		for i := 0; i < traceFiles; i++ {
 			h, err := fs.Open(ctx, fmt.Sprintf("/prod/f%05d", i), vfsapi.CREATE|vfsapi.WRONLY)
 			if err != nil {
-				panic(err)
+				return err
 			}
 			for written := int64(0); written < size; written += 1 << 20 {
-				chunk := size - written
-				if chunk > 1<<20 {
-					chunk = 1 << 20
-				}
-				if _, err := h.Append(ctx, chunk); err != nil {
-					panic(err)
+				if _, err := h.Append(ctx, min(size-written, 1<<20)); err != nil {
+					return err
 				}
 			}
 			if err := h.Fsync(ctx); err != nil {
-				panic(err)
+				return err
 			}
 			if err := h.Close(ctx); err != nil {
-				panic(err)
+				return err
 			}
 		}
-	}
+		return nil
+	}}
+}
+
+// traceSpec is the trace sweep's host: traceTenants pools fls0, fls1,
+// ... of one configuration, optionally protected, with every mount
+// traced for the capture and the blame analysis.
+func traceSpec(config core.Configuration, admission bool, scale Scale) Scenario {
+	return Scenario{Scale: scale, Cores: 4, Overload: protection(admission), Spans: true, Pools: flsPools(traceTenants, config)}
 }
 
 // RecordTraceBaseline runs the production-shaped workload — Zipf user
@@ -168,51 +161,37 @@ func prepTraceFiles(cont *core.Container, size int64) func(pp *sim.Proc) {
 // the trace holds exactly the workload's ops with issue times relative
 // to capture start.
 func RecordTraceBaseline(scale Scale) (*trace.Trace, TraceRow) {
-	r := newScaledRig(4, scale, nil)
-	tb := r.tb
-	rec := ensureObs(tb)
+	tb, conts := traceSpec(core.ConfigD, false, scale).Testbed()
+	rec := tb.Obs
 	row := TraceRow{
 		Label: "rec", Config: core.ConfigD, Baseline: true,
 		ScheduleMatch: true, SequenceMatch: true,
 	}
 
-	conts := make([]*core.Container, traceTenants)
-	for i := range conts {
-		_, c, err := r.flsContainer(i, core.ConfigD, scale)
-		if err != nil {
-			panic(err)
-		}
-		conts[i] = c
-	}
-
 	capRec := trace.NewRecorder("D", 0)
+	prods := make([]*workloads.Production, len(conts))
+	loads := make([]load, len(conts))
+	for i, c := range conts {
+		prods[i] = &workloads.Production{
+			FS: c.Mount.Default, Dir: "/prod",
+			Files: traceFiles, FileSize: traceFileSize(scale), OpSize: traceOpSize,
+			Users: traceUsers, PeakRate: tracePeakRate,
+			Diurnal:   workloads.Diurnal{Period: scale.Duration, Trough: 0.3},
+			Seed:      int64(1000 + i),
+			NewThread: c.NewThread,
+		}
+		loads[i] = prepTraceFiles(c, traceFileSize(scale))
+		loads[i].run = prods[i].Run
+	}
 	var captured *trace.Trace
-	r.runMaster(func(p *sim.Proc) {
-		preps := make([]func(*sim.Proc), len(conts))
-		for i, c := range conts {
-			preps[i] = prepTraceFiles(c, traceFileSize(scale))
-		}
-		prepare(p, tb.Eng, preps...)
-
-		clock := clockFor(tb.Eng, scale)
-		capRec.SetBase(tb.Eng.Now())
-		detach := capRec.Attach(rec)
-
-		g := workloads.NewGroup(tb.Eng)
-		prods := make([]*workloads.Production, len(conts))
-		for i, c := range conts {
-			w := &workloads.Production{
-				FS: c.Mount.Default, Dir: "/prod",
-				Files: traceFiles, FileSize: traceFileSize(scale), OpSize: traceOpSize,
-				Users: traceUsers, PeakRate: tracePeakRate,
-				Diurnal:   workloads.Diurnal{Period: scale.Duration, Trough: 0.3},
-				Seed:      int64(1000 + i),
-				NewThread: c.NewThread,
-			}
-			prods[i] = w
-			w.Run(g, clock)
-		}
-		g.Wait(p)
+	Drive(tb, func(p *sim.Proc) {
+		var detach func()
+		runLoads(p, tb, func() workloads.Clock {
+			clock := clockFor(tb.Eng, scale)
+			capRec.SetBase(tb.Eng.Now())
+			detach = capRec.Attach(rec)
+			return clock
+		}, loads...)
 		detach()
 		captured = capRec.Snapshot()
 
@@ -247,32 +226,21 @@ func RecordTraceBaseline(scale Scale) (*trace.Trace, TraceRow) {
 // configuration on a fresh testbed with an identically prepared
 // fileset, and reports tail latency and blame against the recording.
 func ReplayTraceUnder(t *trace.Trace, c TraceCase, scale Scale) (*trace.Trace, TraceRow) {
-	r := newScaledRig(4, scale, protection(c.Admission))
-	tb := r.tb
-	rec := ensureObs(tb)
+	tb, conts := traceSpec(c.Config, c.Admission, scale).Testbed()
+	rec := tb.Obs
 	row := TraceRow{Label: c.Label, Config: c.Config, Admission: c.Admission, Identity: c.Identity}
 
 	bindings := map[string]trace.Binding{}
-	conts := make([]*core.Container, traceTenants)
-	for i := range conts {
-		_, cont, err := r.flsContainer(i, c.Config, scale)
-		if err != nil {
-			panic(err)
-		}
-		conts[i] = cont
-		bindings[fmt.Sprintf("fls%d", i)] = trace.Binding{
-			FS: cont.Mount.Default, NewThread: cont.NewThread,
-		}
+	loads := make([]load, len(conts))
+	for i, cont := range conts {
+		bindings[fmt.Sprintf("fls%d", i)] = trace.Binding{FS: cont.Mount.Default, NewThread: cont.NewThread}
+		loads[i] = prepTraceFiles(cont, traceFileSize(scale))
 	}
 
 	var replayed *trace.Trace
 	var stats *trace.ReplayStats
-	r.runMaster(func(p *sim.Proc) {
-		preps := make([]func(*sim.Proc), len(conts))
-		for i, cont := range conts {
-			preps[i] = prepTraceFiles(cont, traceFileSize(scale))
-		}
-		prepare(p, tb.Eng, preps...)
+	Drive(tb, func(p *sim.Proc) {
+		prepLoads(p, tb, loads)
 		replayed, stats = trace.Replay(p, tb.Eng, t, c.Label,
 			func(tenant string) (trace.Binding, bool) {
 				b, ok := bindings[tenant]

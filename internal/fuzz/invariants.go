@@ -43,15 +43,16 @@ func Checkers() []Checker {
 	return []Checker{
 		{Name: "zero-data-loss", Check: checkDataLoss},
 		{Name: "blame-sum", Check: checkBlameSum},
-		{Name: "span-leak", Check: checkSpanLeak},
+		{Name: "span-leak", Check: drainCheck("span-leak")},
 		{Name: "replay-determinism", Check: checkReplay},
 		{Name: "isolation-bound", Check: checkIsolation},
 		{Name: "fault-accounting", Check: checkFaultAccounting},
-		{Name: "bounded-queue", Check: checkBoundedQueue},
-		{Name: "admission-accounting", Check: checkAdmissionAccounting},
+		{Name: "bounded-queue", Check: drainCheck("bounded-queue")},
+		{Name: "admission-accounting", Check: drainCheck("admission-accounting")},
 		{Name: "crash-consistency", Check: checkCrashConsistency},
 		{Name: "trace-replay-determinism", Check: checkTraceReplay},
 		{Name: "telemetry-consistency", Check: checkTelemetry},
+		{Name: "timeout-ledger", Check: drainCheck("timeout-ledger")},
 	}
 }
 
@@ -177,33 +178,28 @@ func checkCrashConsistency(o *Outcome) []string {
 	return out
 }
 
-// checkBoundedQueue: no pool's admission queue may ever exceed its
-// configured cap (experiments.BoundedQueueViolations, the overload
-// sweep's check too).
-func checkBoundedQueue(o *Outcome) []string {
-	return eachAdmission(o, experiments.BoundedQueueViolations)
-}
-
-// checkAdmissionAccounting: every operation offered to a pool's
-// admission controller must be accounted exactly once, and none may be
-// in flight or queued at drain (experiments.AdmissionAccountingViolations,
-// the overload sweep's check too).
-func checkAdmissionAccounting(o *Outcome) []string {
-	return eachAdmission(o, experiments.AdmissionAccountingViolations)
-}
-
-// eachAdmission runs one admission check over every pool snapshot of
-// every run, labelling details with the run.
-func eachAdmission(o *Outcome, check func(experiments.TenantAdmission) []string) []string {
-	var out []string
-	for _, lr := range o.runs() {
-		for _, a := range lr.res.Admission {
-			for _, d := range check(a) {
-				out = append(out, lr.label+": "+d)
+// drainCheck reports one of the drain checks every run ends in
+// (experiments.Drive): the engine's timeout ledger, each admission
+// queue's cap and ledger, and leaked spans. It reads what the checks
+// found on each run, the trace replays included, labelled with the run.
+func drainCheck(name string) func(o *Outcome) []string {
+	return func(o *Outcome) []string {
+		var out []string
+		report := func(label string, drain []experiments.Violation) {
+			for _, v := range drain {
+				if v.Check == name {
+					out = append(out, label+": "+v.Detail)
+				}
 			}
 		}
+		for _, lr := range o.runs() {
+			report(lr.label, lr.res.Drain)
+		}
+		for i, r := range o.TraceRuns {
+			report(fmt.Sprintf("trace replay %d", i), r.Drain)
+		}
+		return out
 	}
-	return out
 }
 
 // CheckAll runs the full registry over an outcome.
@@ -262,19 +258,6 @@ func checkBlameSum(o *Outcome) []string {
 		}
 		if bad > 3 {
 			out = append(out, fmt.Sprintf("%s: ... and %d more blame-sum breaches", label, bad-3))
-		}
-	}
-	return out
-}
-
-// checkSpanLeak: the span ledger must be empty at engine drain — a
-// leaked span means an instrumentation point lost an End on some path.
-func checkSpanLeak(o *Outcome) []string {
-	var out []string
-	for _, lr := range o.runs() {
-		label, r := lr.label, lr.res
-		if n := len(r.Leaked); n > 0 {
-			out = append(out, fmt.Sprintf("%s: %d leaked span(s): %s", label, n, r.Leaked[0]))
 		}
 	}
 	return out

@@ -1,11 +1,14 @@
 package fuzz
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/blame"
+	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/vfsapi"
 )
 
@@ -43,6 +46,15 @@ func cleanOutcome() *Outcome {
 		Full:   mk(),
 		Replay: mk(),
 		Solo:   mk(),
+	}
+}
+
+// redrain reruns the drain checks on each run's admission ledgers and
+// leaked spans, as experiments.Drive does at the end of a real run, so
+// a corrupted ledger or span reaches the checkers that report them.
+func redrain(o *Outcome) {
+	for _, r := range []*Result{o.Full, o.Replay, o.Solo} {
+		r.Drain = experiments.DrainEvidence{Admission: r.Admission, Leaked: r.Leaked}.Violations()
 	}
 }
 
@@ -106,6 +118,7 @@ func TestCheckerFiresOnBlameSumOverflowCap(t *testing.T) {
 func TestCheckerFiresOnSpanLeak(t *testing.T) {
 	o := cleanOutcome()
 	o.Full.Leaked = []string{"victim/fsync span 9"}
+	redrain(o)
 	only(t, o, "span-leak")
 }
 
@@ -155,6 +168,7 @@ func TestCheckerFiresOnRegistryMismatch(t *testing.T) {
 func TestCheckerFiresOnQueueOverrun(t *testing.T) {
 	o := cleanOutcome()
 	o.Full.Admission[0].Stats.MaxQueued = o.Full.Admission[0].QueueCap + 1
+	redrain(o)
 	only(t, o, "bounded-queue")
 }
 
@@ -162,6 +176,7 @@ func TestCheckerFiresOnAdmissionImbalance(t *testing.T) {
 	o := cleanOutcome()
 	// One shed operation went missing from the ledger.
 	o.Replay.Admission[0].Stats.Shed--
+	redrain(o)
 	only(t, o, "admission-accounting")
 }
 
@@ -171,7 +186,20 @@ func TestCheckerFiresOnResidualInFlight(t *testing.T) {
 	// Release was lost; the identity breaks too, so both details are
 	// admission-accounting.
 	o.Solo.Admission[0].Stats.InFlight = 1
+	redrain(o)
 	only(t, o, "admission-accounting")
+}
+
+func TestCheckerFiresOnTimeoutLedger(t *testing.T) {
+	o := cleanOutcome()
+	// A drained engine still holding a timeout, or one that lost track
+	// of how an armed timeout ended.
+	o.Solo.Drain = experiments.DrainEvidence{Engine: sim.Stats{TimeoutsArmed: 2, TimeoutsFired: 1}}.Violations()
+	o.TraceRuns = []TraceReplayRun{{Drain: experiments.DrainEvidence{Engine: sim.Stats{TimeoutsArmed: 1, TimeoutsPending: 1}}.Violations()}}
+	only(t, o, "timeout-ledger")
+	if vs := CheckAll(o); len(vs) != 2 || !strings.HasPrefix(vs[1].Detail, "trace replay 0: ") {
+		t.Fatalf("want one ledger breach per run, labelled: %v", vs)
+	}
 }
 
 // crashedOutcome decorates the clean outcome with a scheduled crash and
@@ -374,6 +402,7 @@ func TestEveryCheckerHasAMutation(t *testing.T) {
 		"crash-consistency":        true,
 		"trace-replay-determinism": true,
 		"telemetry-consistency":    true,
+		"timeout-ledger":           true,
 	}
 	for _, c := range Checkers() {
 		if !covered[c.Name] {

@@ -81,6 +81,10 @@ type Result struct {
 
 	// Leaked lists spans opened but never ended at engine drain.
 	Leaked []string
+	// Drain is what the run's drain checks found (experiments.Drive):
+	// the timeout ledger, each admission queue's bound and ledger, and
+	// leaked spans.
+	Drain []experiments.Violation
 	// Unattributed counts waits observed with no bound span.
 	Unattributed uint64
 	// Report is the blame analysis of the run.
@@ -92,8 +96,7 @@ type Result struct {
 	Summary string
 }
 
-// TenantAdmission is one pool's admission snapshot for the bounded-
-// queue and admission-accounting checkers.
+// TenantAdmission is one pool's admission snapshot at drain.
 type TenantAdmission = experiments.TenantAdmission
 
 // TelOpCount is one (tenant, op) aggregate in the telemetry-consistency
@@ -228,6 +231,7 @@ func RunScenario(sc Scenario, solo bool) *Result {
 		RemountSize: run.Remount,
 		Faults:      run.Faults,
 		Trace:       run.Trace,
+		Drain:       run.Drain,
 	}
 	if ol := run.OpenLoop; ol != nil {
 		res.OLOffered, res.OLCompleted, res.OLShed, res.OLFailed = ol.Offered, ol.Completed, ol.Shed, ol.Failed
@@ -260,7 +264,8 @@ type TraceReplayRun struct {
 	Ops        int
 	Errors     int
 	Skipped    int
-	SequenceOK bool // replay preserved the recorded per-stream op sequence
+	SequenceOK bool                    // replay preserved the recorded per-stream op sequence
+	Drain      []experiments.Violation // the replay testbed's drain checks
 }
 
 // replayTrace reissues a captured op trace against a freshly built
@@ -282,14 +287,12 @@ func replayTrace(sc Scenario, tr *trace.Trace) TraceReplayRun {
 
 	var replayed *trace.Trace
 	var stats *trace.ReplayStats
-	tb.Eng.Go("trace-replay-master", func(p *sim.Proc) {
-		defer tb.Stop()
+	drain := experiments.Drive(tb, func(p *sim.Proc) {
 		replayed, stats = trace.Replay(p, tb.Eng, tr, "replay", func(tenant string) (trace.Binding, bool) {
 			b, ok := bindings[tenant]
 			return b, ok
 		})
 	})
-	tb.Eng.Run()
 
 	return TraceReplayRun{
 		Hash:       replayed.ScheduleHash(),
@@ -297,6 +300,7 @@ func replayTrace(sc Scenario, tr *trace.Trace) TraceReplayRun {
 		Errors:     stats.Errors,
 		Skipped:    stats.Skipped,
 		SequenceOK: replayed.OpSequence() == tr.OpSequence(),
+		Drain:      drain,
 	}
 }
 

@@ -63,18 +63,20 @@ func TestScenarioCompilesToRunnerSpec(t *testing.T) {
 
 // TestFuzzSideSharedChecks: the fuzzer's bounded-queue,
 // admission-accounting and crash-consistency checkers report exactly
-// the overload and crash sweeps' shared checks, labelled with the run.
+// the overload and crash sweeps' shared checks, labelled with the run:
+// the first two as the drain checks found them.
 func TestFuzzSideSharedChecks(t *testing.T) {
 	o := crashedOutcome()
 	o.Full.Admission[0].Stats.MaxQueued = o.Full.Admission[0].QueueCap + 1
 	o.Replay.Admission[0].Stats.Shed--
 	o.Solo.CrashRecovered = 0
+	redrain(o)
 	a := o.Full.Admission[0]
-	if got, want := checkBoundedQueue(o), prefixed("full", experiments.BoundedQueueViolations(a)); !reflect.DeepEqual(got, want) || len(got) != 1 {
+	if got, want := drainCheck("bounded-queue")(o), prefixed("full", experiments.BoundedQueueViolations(a)); !reflect.DeepEqual(got, want) || len(got) != 1 {
 		t.Errorf("bounded-queue: %q, want %q", got, want)
 	}
 	a = o.Replay.Admission[0]
-	if got, want := checkAdmissionAccounting(o), prefixed("replay", experiments.AdmissionAccountingViolations(a)); !reflect.DeepEqual(got, want) || len(got) != 1 {
+	if got, want := drainCheck("admission-accounting")(o), prefixed("replay", experiments.AdmissionAccountingViolations(a)); !reflect.DeepEqual(got, want) || len(got) != 1 {
 		t.Errorf("admission-accounting: %q, want %q", got, want)
 	}
 	e := experiments.CrashEvidence{Events: 1, Affected: 1, Acked: o.Solo.AckedBytes, Remount: o.Solo.RemountSize}
