@@ -78,6 +78,7 @@ type Client struct {
 	// clientLock is libcephfs's global lock: held for every cache and
 	// metadata manipulation and for part of each data copy.
 	clientLock *sim.Mutex
+	opPool     []*op // recycled Read and Write states, see op
 
 	files map[uint64]*cfile
 	attrs map[string]attrEntry
@@ -498,24 +499,37 @@ func (c *Client) opCPU(ctx vfsapi.Ctx) {
 	ctx.T.Exec(ctx.P, cpu.User, c.params.ClientOpCost)
 }
 
-// lockClient acquires client_lock, attributing any wait to the tenant
-// of the traced request in flight (no-op attribution otherwise).
-func (c *Client) lockClient(ctx vfsapi.Ctx) {
+// opSeg is the segment form of opCPU.
+func (c *Client) opSeg(ctx vfsapi.Ctx) cpu.Seg {
+	return ctx.T.Seg(cpu.User, c.params.ClientOpCost)
+}
+
+// lockClient appends the acquisition of client_lock to ch, attributing
+// any wait to the tenant of the traced request in flight (no-op
+// attribution otherwise).
+func (c *Client) lockClient(ch *sim.Chain, ctx vfsapi.Ctx) *sim.Chain {
 	if ctx.Span == nil {
-		c.clientLock.Lock(ctx.P)
-		return
+		return ch.Lock(c.clientLock)
 	}
-	start := c.eng.Now()
-	c.clientLock.Lock(ctx.P)
-	ctx.Span.LockWait("client_lock", c.eng.Now()-start)
+	return ch.LockObserved(c.clientLock, "client_lock", ctx.Span)
 }
 
 // lockedMeta runs fn holding client_lock with the standard hold charge.
+// The acquisition and the hold are one chain; fn and the unlock run in
+// the process at the hold's end, which resumes it.
 func (c *Client) lockedMeta(ctx vfsapi.Ctx, fn func()) {
-	c.lockClient(ctx)
-	ctx.T.Exec(ctx.P, cpu.User, c.params.ClientLockHold)
+	ch := c.lockClient(ctx.P.Chain(), ctx)
+	c.cpus.Charge(ch, ctx.T.Seg(cpu.User, c.params.ClientLockHold)).Run()
 	fn()
 	c.clientLock.Unlock(ctx.P)
+}
+
+// metaSegs appends lockedMeta's steps to ch: lock, hold, fn (a chain
+// Func, which must not end the chain while it holds the lock), unlock.
+func (c *Client) metaSegs(ch *sim.Chain, ctx vfsapi.Ctx, fn func(*sim.Chain) bool) *sim.Chain {
+	c.lockClient(ch, ctx)
+	c.cpus.Charge(ch, ctx.T.Seg(cpu.User, c.params.ClientLockHold))
+	return ch.Func(fn).Unlock(c.clientLock)
 }
 
 // wire charges the client-side costs of moving n bytes on the network:
@@ -530,21 +544,21 @@ func (c *Client) wire(ctx vfsapi.Ctx, n int64) {
 		t.BytesSeg(cpu.User, n, c.params.ChecksumBytesPerSec))
 }
 
-// copyData charges a data copy of n bytes, a fraction of it while
-// holding client_lock. The read path holds the lock for most of the
-// copy (buffer-head lookup and read completion run under it — the
+// copySegs appends to ch a data copy of n bytes, a fraction of it
+// while holding client_lock. The read path holds the lock for most of
+// the copy (buffer-head lookup and read completion run under it — the
 // concurrency cap of §6.3.2), while buffered writes release it early.
-func (c *Client) copyData(ctx vfsapi.Ctx, n int64, write bool) {
+func (c *Client) copySegs(ch *sim.Chain, ctx vfsapi.Ctx, n int64, write bool) *sim.Chain {
 	total := c.params.CopyTime(n)
 	fraction := c.params.ClientLockCopyFraction
 	if write {
 		fraction *= 0.25
 	}
 	under := time.Duration(float64(total) * fraction)
-	c.lockClient(ctx)
-	ctx.T.Exec(ctx.P, cpu.User, c.params.ClientLockHold+under)
-	c.clientLock.Unlock(ctx.P)
-	ctx.T.Exec(ctx.P, cpu.User, total-under)
+	c.lockClient(ch, ctx)
+	c.cpus.Charge(ch, ctx.T.Seg(cpu.User, c.params.ClientLockHold+under))
+	ch.Unlock(c.clientLock)
+	return c.cpus.Charge(ch, ctx.T.Seg(cpu.User, total-under))
 }
 
 func (c *Client) file(ino uint64, size int64) *cfile {

@@ -3,6 +3,7 @@ package cephclient
 import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/vfsapi"
 )
 
@@ -223,7 +224,7 @@ func (h *chandle) Size() int64 { return h.f.size }
 // them (its cfile map is cold), so they keep failing with ErrCrashed
 // until the application reopens — the replayable-remount contract.
 func (h *chandle) failIfStale(ctx vfsapi.Ctx) error {
-	if h.c.crashed || h.gen != h.c.gen {
+	if h.stale() {
 		// Failing is not free: charge one operation's CPU so loops
 		// erroring on a stale handle advance simulated time.
 		h.c.opCPU(ctx)
@@ -232,7 +233,19 @@ func (h *chandle) failIfStale(ctx vfsapi.Ctx) error {
 	return nil
 }
 
+// stale reports whether the service is down or the handle predates a
+// crash.
+func (h *chandle) stale() bool { return h.c.crashed || h.gen != h.c.gen }
+
 // Read serves from the object cache, fetching misses from the OSDs.
+//
+// The read runs as chains of a pooled op. The operation's CPU, the
+// clamp to the file size, the LRU touch, the readahead window, the
+// first gap check and — when the range is cached — the copy out are one
+// chain, so a cached read parks its process once. A miss, a range
+// another reader is fetching or a crash ends the chain; the process
+// fetches, waits or fails as the loop form did at that point, and the
+// next gap check starts a new chain.
 func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	defer ctx.Span.Enter(obs.LayerClient).Exit()
 	if err := h.failIfStale(ctx); err != nil {
@@ -242,22 +255,110 @@ func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 		return 0, vfsapi.ErrClosed
 	}
 	c := h.c
-	c.opCPU(ctx)
-	if off >= h.f.size {
-		return 0, nil
+	r := c.getOp(h, ctx, off, n)
+	defer c.putOp(r)
+	c.cpus.Charge(ctx.P.Chain(), c.opSeg(ctx)).Func(r.clampFn).Run()
+	for {
+		switch {
+		case r.n <= 0:
+			return 0, nil
+		case r.done:
+			return r.n, nil
+		case r.stale:
+			// The client can crash while this reader is parked on the
+			// fetch queue or inside the backend read; resume as a
+			// failure, not as a cache insert against the restarted
+			// incarnation.
+			return 0, h.failIfStale(ctx)
+		case r.wait:
+			// Unlike the kernel page cache's fetch wait, this stays a
+			// process-side loop on WaitTimeout: each re-check takes
+			// client_lock and charges ClientLockHold, which an
+			// engine-side WaitUntil re-check could not do without
+			// changing simulated results.
+			c.fetchQ.WaitTimeout(ctx.P, c.params.DirtyThrottleCheck)
+		default:
+			if err := r.fetch(); err != nil {
+				return 0, err
+			}
+		}
+		ctx.P.Chain().Func(r.checkFn).Run()
 	}
-	if off+n > h.f.size {
-		n = h.f.size - off
+}
+
+// op is the state of one Read or Write, pooled per client. Its chain
+// steps are methods bound once, so an operation's chains allocate
+// nothing.
+type op struct {
+	c   *Client
+	h   *chandle
+	ctx vfsapi.Ctx
+	off int64
+	n   int64
+
+	// Read: the readahead-extended range, the gap claimed for fetching,
+	// and how the last chain ended.
+	fetchLen    int64
+	gOff, gLen  int64
+	wait, stale bool
+	done        bool
+
+	// The chain steps, bound once.
+	clampFn, readaheadFn, checkFn, copyOutFn func(*sim.Chain) bool
+	touchFn, findGapFn, noteWriteFn          func(*sim.Chain) bool
+}
+
+func (c *Client) getOp(h *chandle, ctx vfsapi.Ctx, off, n int64) *op {
+	var r *op
+	if k := len(c.opPool); k > 0 {
+		r = c.opPool[k-1]
+		c.opPool = c.opPool[:k-1]
+	} else {
+		r = &op{c: c}
+		r.clampFn, r.readaheadFn, r.checkFn, r.copyOutFn = r.clamp, r.readahead, r.check, r.copyOut
+		r.touchFn, r.findGapFn, r.noteWriteFn = r.touch, r.findGap, r.noteWrite
 	}
-	if n <= 0 {
-		return 0, nil
+	r.h, r.ctx, r.off, r.n = h, ctx, off, n
+	r.fetchLen, r.gOff, r.gLen = 0, 0, 0
+	r.wait, r.stale, r.done = false, false, false
+	return r
+}
+
+func (c *Client) putOp(r *op) {
+	r.h, r.ctx = nil, vfsapi.Ctx{}
+	c.opPool = append(c.opPool, r)
+}
+
+// clamp clamps the read to the file size where the operation's CPU
+// ends, then touches the file's LRU entry under client_lock.
+func (r *op) clamp(ch *sim.Chain) bool {
+	size := r.h.f.size
+	if r.off >= size {
+		r.n = 0
+	} else if r.off+r.n > size {
+		r.n = size - r.off
 	}
-	c.lockedMeta(ctx, func() { c.touch(h.f) })
-	// Readahead (libcephfs prefetches on sequential streams): grow the
-	// fetch window while the stream stays sequential.
-	fetchLen := n
+	if r.n <= 0 {
+		return false
+	}
+	r.c.metaSegs(ch, r.ctx, r.touchFn)
+	ch.Func(r.readaheadFn)
+	return true
+}
+
+func (r *op) touch(*sim.Chain) bool {
+	r.c.touch(r.h.f)
+	return true
+}
+
+// readahead sets the fetch range (libcephfs prefetches on sequential
+// streams: the window grows while the stream stays sequential), then
+// starts the first gap check.
+func (r *op) readahead(ch *sim.Chain) bool {
+	h := r.h
+	r.fetchLen = r.n
 	const maxReadahead = 512 << 10
-	if off == h.raNext {
+	if r.off == h.raNext {
 		if h.raWindow == 0 {
 			h.raWindow = maxReadahead / 8
 		}
@@ -268,70 +369,84 @@ func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	} else {
 		h.raWindow = 0 // random access: no readahead
 	}
-	fetchLen += h.raWindow
-	if off+fetchLen > h.f.size {
-		fetchLen = h.f.size - off
+	r.fetchLen += h.raWindow
+	if r.off+r.fetchLen > h.f.size {
+		r.fetchLen = h.f.size - r.off
 	}
-	h.raNext = off + n
-	// Fetch misses with single-fetcher semantics: a range already being
-	// fetched by another reader is awaited, not re-fetched (the page
-	// in-flight locking of a real client).
-	for {
-		// The client can crash while this reader is parked on the fetch
-		// queue or inside the backend read below; resume as a failure,
-		// not as a cache insert against the restarted incarnation.
-		if err := h.failIfStale(ctx); err != nil {
-			return 0, err
-		}
-		var gOff, gLen int64
-		wait := false
-		c.lockedMeta(ctx, func() {
-			g, ok := h.f.cached.FirstGap(off, fetchLen)
-			if !ok {
-				return
-			}
-			if h.f.fetching.Covered(g.Off, g.Len) > 0 {
-				wait = true
-				return
-			}
-			gOff, gLen = g.Off, g.Len
-			h.f.fetching.Insert(gOff, gLen)
-		})
-		if wait {
-			// Unlike the kernel page cache's fetch wait, this stays a
-			// process-side loop on WaitTimeout: each re-check takes
-			// client_lock and charges ClientLockHold, which an
-			// engine-side WaitUntil re-check could not do without
-			// changing simulated results.
-			c.fetchQ.WaitTimeout(ctx.P, c.params.DirtyThrottleCheck)
-			continue
-		}
-		if gLen == 0 {
-			break
-		}
-		c.wire(ctx, gLen)
-		rerr := c.readBackend(ctx, h.f.ino, gOff, gLen)
-		if rerr != nil {
-			// Release the in-flight claim before failing, or readers
-			// waiting on this range would park forever.
-			c.lockedMeta(ctx, func() { h.f.fetching.Remove(gOff, gLen) })
-			c.fetchQ.Broadcast()
-			return 0, rerr
-		}
-		if err := h.failIfStale(ctx); err != nil {
-			c.lockedMeta(ctx, func() { h.f.fetching.Remove(gOff, gLen) })
-			c.fetchQ.Broadcast()
-			return 0, err
-		}
-		c.stats.MissBytes += gLen
-		c.cacheInsert(ctx, h.f, gOff, gLen)
-		c.lockedMeta(ctx, func() { h.f.fetching.Remove(gOff, gLen) })
-		c.fetchQ.Broadcast()
+	h.raNext = r.off + r.n
+	return r.check(ch)
+}
+
+// check finds the first gap of the fetch range under client_lock,
+// unless the client crashed, which ends the chain.
+func (r *op) check(ch *sim.Chain) bool {
+	r.wait, r.gOff, r.gLen = false, 0, 0
+	if r.h.stale() {
+		r.stale = true
+		return false
 	}
-	// Copy out of the object cache (partially under client_lock).
-	c.stats.ReadBytes += n
-	c.copyData(ctx, n, false)
-	return n, nil
+	r.c.metaSegs(ch, r.ctx, r.findGapFn)
+	ch.Func(r.copyOutFn)
+	return true
+}
+
+// findGap claims the first gap of the fetch range for fetching, with
+// single-fetcher semantics: a range already being fetched by another
+// reader is awaited, not re-fetched (the page in-flight locking of a
+// real client).
+func (r *op) findGap(*sim.Chain) bool {
+	f := r.h.f
+	g, ok := f.cached.FirstGap(r.off, r.fetchLen)
+	if !ok {
+		return true
+	}
+	if f.fetching.Covered(g.Off, g.Len) > 0 {
+		r.wait = true
+		return true
+	}
+	r.gOff, r.gLen = g.Off, g.Len
+	f.fetching.Insert(r.gOff, r.gLen)
+	return true
+}
+
+// copyOut ends the chain at a gap to fetch or wait for. Otherwise the
+// range is cached: copy it out (partially under client_lock).
+func (r *op) copyOut(ch *sim.Chain) bool {
+	if r.wait || r.gLen > 0 {
+		return false
+	}
+	r.c.stats.ReadBytes += r.n
+	r.c.copySegs(ch, r.ctx, r.n, false)
+	r.done = true
+	return true
+}
+
+// fetch reads the claimed gap from the backend into the cache, then
+// releases the claim and wakes the readers awaiting it.
+func (r *op) fetch() error {
+	c, h, ctx := r.c, r.h, r.ctx
+	c.wire(ctx, r.gLen)
+	err := c.readBackend(ctx, h.f.ino, r.gOff, r.gLen)
+	if err == nil {
+		err = h.failIfStale(ctx)
+	}
+	if err == nil {
+		c.stats.MissBytes += r.gLen
+		c.cacheInsert(ctx, h.f, r.gOff, r.gLen)
+	}
+	// Release the claim, on failure too, or readers waiting on this
+	// range would park forever.
+	c.lockedMeta(ctx, r.unclaim)
+	c.fetchQ.Broadcast()
+	return err
+}
+
+func (r *op) unclaim() { r.h.f.fetching.Remove(r.gOff, r.gLen) }
+
+func (r *op) noteWrite(*sim.Chain) bool {
+	r.h.wrote = true
+	r.c.stats.WriteBytes += r.n
+	return true
 }
 
 // Write copies into the object cache and marks dirty, throttling at the
@@ -351,11 +466,12 @@ func (h *chandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 		return 0, nil
 	}
 	c := h.c
-	c.opCPU(ctx)
-	h.wrote = true
-	c.stats.WriteBytes += n
-	c.copyData(ctx, n, true)
-	// copyData waits on client_lock; the writer may resume on the far
+	r := c.getOp(h, ctx, off, n)
+	ch := ctx.P.Chain()
+	c.cpus.Charge(ch, c.opSeg(ctx)).Func(r.noteWriteFn)
+	c.copySegs(ch, ctx, n, true).Run()
+	c.putOp(r)
+	// The copy waits on client_lock; the writer may resume on the far
 	// side of a crash and must fail rather than dirty the restarted
 	// incarnation's cache through a dead cfile.
 	if err := h.failIfStale(ctx); err != nil {

@@ -10,7 +10,7 @@ import (
 
 // BenchmarkExecCoalescedUncontended measures a long Exec on an idle
 // host: the quantum chain must coalesce the whole 10ms run into one
-// park/resume round trip and stay allocation-free via the run pool.
+// park/resume round trip and stay allocation-free via the pools.
 func BenchmarkExecCoalescedUncontended(b *testing.B) {
 	eng := sim.NewEngine()
 	c := New(eng, model.Default(), 4)
@@ -63,9 +63,10 @@ func BenchmarkExecContended(b *testing.B) {
 }
 
 // BenchmarkExecSeqContended time-shares one core between four threads
-// that each run FUSE-crossing-shaped bursts (mode switch, request work,
-// context switch), so most segment boundaries hand the core through the
-// runqueue. The pooled bursts keep it allocation-free.
+// that each run FUSE-crossing-shaped charge sequences (mode switch,
+// request work, context switch), so most segment boundaries hand the
+// core through the runqueue. The pooled chains and stages keep it
+// allocation-free.
 func BenchmarkExecSeqContended(b *testing.B) {
 	eng := sim.NewEngine()
 	c := New(eng, model.Default(), 1)

@@ -24,16 +24,16 @@ type CPU struct {
 	eng     *sim.Engine
 	params  *model.Params
 	cores   []coreState
-	waiters []*burst // FIFO runqueue: bursts waiting for a core
+	waiters []*exec // FIFO runqueue: exec stages waiting for a core
 	all     Mask
 	groupSz int
 	scanRR  int // rotating scan start spreads load across idle cores
 
-	// burstPool recycles burst states (their segment storage and bound
-	// callbacks), keeping the scheduler hot path free of per-call
-	// allocations. Safe without locking: exactly one goroutine runs at
-	// any instant in the simulation.
-	burstPool []*burst
+	// execPool recycles exec stages (their segment storage), keeping the
+	// scheduler hot path free of per-call allocations. Safe without
+	// locking: exactly one goroutine runs at any instant in the
+	// simulation.
+	execPool []*exec
 
 	rec *obs.Recorder
 }
@@ -148,10 +148,10 @@ func (t *Thread) Account() *Account { return t.acct }
 //
 // An uncontended Exec of at most one quantum is a plain Sleep on the
 // acquired core. Any other Exec — longer than a quantum, or queued
-// behind busy cores — runs as a one-segment burst: the process parks
-// once and the quantum boundaries and runqueue handoffs run as engine
-// callbacks. See burst for why the results are bit-identical to
-// slicing the work one Sleep per quantum.
+// behind busy cores — runs as a one-segment sim.Chain stage: the
+// process parks once and the quantum boundaries and runqueue handoffs
+// run as engine callbacks. See exec for why the results are
+// bit-identical to slicing the work one Sleep per quantum.
 func (t *Thread) Exec(p *sim.Proc, k TimeKind, d time.Duration) {
 	if d <= 0 {
 		return
@@ -160,19 +160,21 @@ func (t *Thread) Exec(p *sim.Proc, k TimeKind, d time.Duration) {
 	core, ok := c.tryAcquire(t)
 	if ok && d <= c.params.Quantum {
 		p.Sleep(d)
-		c.charge(p, t, k, core, d)
+		c.book(p, t, k, core, d)
 		c.release(core)
 		return
 	}
-	b := c.getBurst(p)
-	b.segs = append(b.segs, t.Seg(k, d))
-	b.i, b.last, b.d = 0, 0, d
-	b.run(core, ok)
+	ch := p.Chain()
+	x := c.getExec(ch)
+	x.segs = append(x.segs, t.Seg(k, d))
+	x.i, x.d, x.core, x.state = 0, d, core, execPicked
+	ch.Stage(x).Run()
 }
 
-// Seg is one CPU charge of a burst run by ExecSeq. The Thread methods
-// Seg, BytesSeg, ModeSwitchSeg and ContextSwitchSeg build the segment
-// that mirrors Exec, ExecBytes, ModeSwitch and ContextSwitch.
+// Seg is one CPU charge of a sequence run by ExecSeq or Charge. The
+// Thread methods Seg, BytesSeg, ModeSwitchSeg and ContextSwitchSeg build
+// the segment that mirrors Exec, ExecBytes, ModeSwitch and
+// ContextSwitch.
 type Seg struct {
 	t    *Thread
 	kind TimeKind
@@ -212,57 +214,41 @@ func (t *Thread) ContextSwitchSeg() Seg {
 // segments may run on different threads (a FUSE reply spans the daemon
 // thread and the application thread) and each boundary between them is
 // an engine callback, not a resume of p. Use it wherever charges follow
-// each other with no other simulation primitive in between.
+// each other with no other simulation primitive in between; Charge
+// puts them in a chain with such primitives.
 func (c *CPU) ExecSeq(p *sim.Proc, segs ...Seg) {
-	b := c.getBurst(p)
-	b.segs = append(b.segs, segs...)
-	b.i, b.last = -1, -1
-	for i := range b.segs {
-		if b.segs[i].d > 0 {
-			b.last = i
-		}
-	}
-	if !b.next() {
-		// Nothing to charge: the segments only bump counters.
-		c.putBurst(b)
-		return
-	}
-	core, ok := c.tryAcquire(b.segs[b.i].t)
-	b.run(core, ok)
+	c.Charge(p.Chain(), segs...).Run()
 }
 
-// burst drives the CPU work of one process from its first core
-// acquisition to its last release: an ExecSeq, or an Exec that is
-// longer than a quantum or must queue. The process parks once. Slice
-// boundaries, segment boundaries and runqueue handoffs run as engine
-// callbacks, and only the wake of the last slice resumes the process.
-//
-// The chain is event-for-event identical to running each segment as its
-// own acquire → Sleep(slice) → release loop, one quantum at a time.
-// Wherever that loop pushed one engine event — the wake of a slice's
-// Sleep, or the wake by which release handed a freed core to a queued
-// process — the burst pushes one event with the same timestamp at the
-// same point in seq order: a callback, except for the last slice, whose
-// wake resumes the process. What the loop did in the process between
-// two such events (charge the slice, release the core, bump the next
-// segment's counter, try to acquire its core) happens in the same order
-// inside one callback. The event heap breaks timestamp ties by seq, so
-// the interleaving with every other process, and every virtual-time
-// result, is unchanged; the loop's resumes of this process become
-// callbacks one for one.
-type burst struct {
+// Charge appends segs to ch as one stage, charged as ExecSeq charges
+// them.
+func (c *CPU) Charge(ch *sim.Chain, segs ...Seg) *sim.Chain {
+	x := c.getExec(ch)
+	x.segs = append(x.segs, segs...)
+	x.i, x.state = -1, execStart
+	return ch.Stage(x)
+}
+
+// exec is the chain stage of a sequence of CPU charges, from its first
+// core acquisition to its last release. It is event-for-event
+// identical to running each segment as its own acquire → Sleep(slice)
+// → release loop, one quantum at a time: wherever that loop pushed one
+// engine event — the wake of a slice's Sleep, or the wake by which
+// release handed a freed core to a queued process — the stage has the
+// chain push its wake with the same timestamp at the same point in seq
+// order. What the loop did in the process between two such events
+// (charge the slice, release the core, bump the next segment's
+// counter, try to acquire its core) Advance does in the same order.
+// sim.Chain turns the loop's resumes into callbacks one for one.
+type exec struct {
 	c     *CPU
-	p     *sim.Proc
+	ch    *sim.Chain
 	segs  []Seg
 	i     int           // segment in flight
-	last  int           // index of the last segment with work
 	d     time.Duration // work left in segment i, including the in-flight slice
 	core  int           // core of the in-flight slice
 	slice time.Duration // length of the in-flight slice
-
-	// Reusable callbacks bound to this burst: the slice boundary, and
-	// the runqueue handoff a release pushes.
-	step, granted func()
+	state execState
 
 	// The runqueue wait in progress: when it began and the account to
 	// blame, captured at enqueue time.
@@ -270,30 +256,66 @@ type burst struct {
 	aggr     string
 }
 
-// run starts the burst on core (ok) or in the runqueue (!ok), parks p
-// until the last slice ends, then charges that slice and releases its
-// core exactly as the loop's last Sleep return did.
-func (b *burst) run(core int, ok bool) {
-	if ok {
-		b.core = core
-		b.arm()
-	} else {
-		b.enqueue()
+type execState uint8
+
+const (
+	// execStart: move to the first segment with work and acquire a core.
+	execStart execState = iota
+	// execPicked: Exec has tried for a core already, holding core if >= 0.
+	execPicked
+	// execSlice: a slice is in flight on core.
+	execSlice
+	// execQueued: waiting in the runqueue; release sets core.
+	execQueued
+)
+
+// Advance implements sim.Stage.
+func (x *exec) Advance(*sim.Chain) bool {
+	c := x.c
+	switch x.state {
+	case execSlice:
+		s := &x.segs[x.i]
+		c.book(x.ch.Proc(), s.t, s.kind, x.core, x.slice)
+		x.d -= x.slice
+		c.release(x.core)
+		if x.d == 0 && !x.next() {
+			// Trailing zero-length segments bumped their counters.
+			c.putExec(x)
+			return true
+		}
+	case execQueued:
+		x.ch.Proc().ReportWait("runq", "cpu", x.aggr, 0, c.eng.Now()-x.queuedAt)
+		x.arm()
+		return false
+	case execStart:
+		if !x.next() {
+			// Nothing to charge: the segments only bump counters.
+			c.putExec(x)
+			return true
+		}
+	case execPicked:
+		if x.core < 0 {
+			x.enqueue()
+		} else {
+			x.arm()
+		}
+		return false
 	}
-	b.p.Park()
-	c := b.c
-	s := &b.segs[b.i]
-	c.charge(b.p, s.t, s.kind, b.core, b.slice)
-	c.release(b.core)
-	b.next() // counters of trailing zero-length segments
-	c.putBurst(b)
+	core, ok := c.tryAcquire(x.segs[x.i].t)
+	if !ok {
+		x.enqueue()
+		return false
+	}
+	x.core = core
+	x.arm()
+	return false
 }
 
 // next moves to the next segment with work, bumping the account counter
 // of every segment it enters. It reports false when none is left.
-func (b *burst) next() bool {
-	for b.i++; b.i < len(b.segs); b.i++ {
-		s := &b.segs[b.i]
+func (x *exec) next() bool {
+	for x.i++; x.i < len(x.segs); x.i++ {
+		s := &x.segs[x.i]
 		switch s.sw {
 		case modeSwitch:
 			s.t.acct.modeSwitches++
@@ -301,73 +323,36 @@ func (b *burst) next() bool {
 			s.t.acct.contextSwitches++
 		}
 		if s.d > 0 {
-			b.d = s.d
+			x.d = s.d
 			return true
 		}
 	}
 	return false
 }
 
-// arm starts the next slice of segment i on b.core. The last slice of
-// the burst hands its wake to the parked process; every other slice
-// ends in the step callback.
-func (b *burst) arm() {
-	c := b.c
-	if q := c.params.Quantum; b.d > q {
-		b.slice = q
-		c.eng.After(q, b.step)
-		return
-	}
-	b.slice = b.d
-	if b.i == b.last {
-		c.eng.ScheduleWakeAfter(b.p, b.slice)
-		return
-	}
-	c.eng.After(b.slice, b.step)
+// arm starts the next slice of segment i on x.core; its end is the
+// chain's next wake.
+func (x *exec) arm() {
+	x.slice = min(x.d, x.c.params.Quantum)
+	x.state = execSlice
+	x.ch.WakeAfter(x.slice)
 }
 
-// fire is the step callback: charge the slice just run, release its
-// core, move on to the next segment if this one is done, and acquire a
-// core for what follows or queue for one.
-func (b *burst) fire() {
-	c := b.c
-	s := &b.segs[b.i]
-	c.charge(b.p, s.t, s.kind, b.core, b.slice)
-	b.d -= b.slice
-	c.release(b.core)
-	if b.d == 0 {
-		b.next() // true: the last slice of the burst never fires step
-	}
-	core, ok := c.tryAcquire(b.segs[b.i].t)
-	if !ok {
-		b.enqueue()
-		return
-	}
-	b.core = core
-	b.arm()
-}
-
-// enqueue queues the burst FIFO for a core for segment i. A later
-// release hands it one by pushing the granted callback.
-func (b *burst) enqueue() {
-	c := b.c
-	b.queuedAt = c.eng.Now()
-	b.aggr = ""
+// enqueue queues x FIFO for a core for segment i. A later release hands
+// it one and wakes the chain.
+func (x *exec) enqueue() {
+	c := x.c
+	x.state = execQueued
+	x.queuedAt = c.eng.Now()
+	x.aggr = ""
 	if c.eng.HasWaitObserver() {
-		b.aggr = c.runqAggressor(b.segs[b.i].t)
+		x.aggr = c.runqAggressor(x.segs[x.i].t)
 	}
-	c.waiters = append(c.waiters, b)
+	c.waiters = append(c.waiters, x)
 }
 
-// grant is the granted callback: release has set b.core. Report the
-// runqueue wait and start the slice.
-func (b *burst) grant() {
-	b.p.ReportWait("runq", "cpu", b.aggr, 0, b.c.eng.Now()-b.queuedAt)
-	b.arm()
-}
-
-// charge books the slice of length d that t just ran on core.
-func (c *CPU) charge(p *sim.Proc, t *Thread, k TimeKind, core int, d time.Duration) {
+// book books the slice of length d that t just ran on core.
+func (c *CPU) book(p *sim.Proc, t *Thread, k TimeKind, core int, d time.Duration) {
 	c.cores[core].busyTime += d
 	t.acct.addTime(k, d)
 	t.lastCore = core
@@ -375,24 +360,23 @@ func (c *CPU) charge(p *sim.Proc, t *Thread, k TimeKind, core int, d time.Durati
 	p.ReportWait("run", "cpu", "", 0, d)
 }
 
-func (c *CPU) getBurst(p *sim.Proc) *burst {
-	var b *burst
-	if n := len(c.burstPool); n > 0 {
-		b = c.burstPool[n-1]
-		c.burstPool = c.burstPool[:n-1]
+func (c *CPU) getExec(ch *sim.Chain) *exec {
+	var x *exec
+	if n := len(c.execPool); n > 0 {
+		x = c.execPool[n-1]
+		c.execPool = c.execPool[:n-1]
 	} else {
-		b = &burst{c: c}
-		b.step, b.granted = b.fire, b.grant
+		x = &exec{c: c}
 	}
-	b.p = p
-	return b
+	x.ch = ch
+	return x
 }
 
-func (c *CPU) putBurst(b *burst) {
-	clear(b.segs)
-	b.segs = b.segs[:0]
-	b.p = nil
-	c.burstPool = append(c.burstPool, b)
+func (c *CPU) putExec(x *exec) {
+	clear(x.segs)
+	x.segs = x.segs[:0]
+	x.ch = nil
+	c.execPool = append(c.execPool, x)
 }
 
 // ExecBytes consumes CPU time equivalent to processing n bytes at the
@@ -473,17 +457,17 @@ func (c *CPU) tryAcquire(t *Thread) (int, bool) {
 	return -1, false
 }
 
-// release frees core, or hands it straight to the oldest queued burst
-// whose thread may run there: the core stays busy, and the burst's
-// granted callback starts its slice in the same (now, seq) slot where
-// a wake of the queued process used to go.
+// release frees core, or hands it straight to the oldest queued stage
+// whose thread may run there: the core stays busy, and the stage's
+// chain wake, which starts its slice, goes in the same (now, seq) slot
+// where a wake of the queued process used to go.
 func (c *CPU) release(core int) {
-	for i, b := range c.waiters {
-		if t := b.segs[b.i].t; t.mask.Has(core) {
+	for i, x := range c.waiters {
+		if t := x.segs[x.i].t; t.mask.Has(core) {
 			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			b.core = core
+			x.core = core
 			c.cores[core].occupant = t.acct
-			c.eng.After(0, b.granted)
+			x.ch.Wake()
 			return
 		}
 	}

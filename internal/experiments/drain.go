@@ -104,14 +104,15 @@ func BoundedQueueViolations(a TenantAdmission) []string {
 }
 
 // AdmissionAccountingViolations checks that every operation offered to
-// the pool's admission controller is accounted exactly once (admitted,
-// shed, or in flight) and that the drained pool holds none in flight
-// or queued.
+// the pool's admission controller is accounted exactly once — admitted
+// (Admit counts an operation admitted when it is granted a slot, so an
+// operation in flight is already among them), shed, or still queued —
+// and that the drained pool holds none in flight or queued.
 func AdmissionAccountingViolations(a TenantAdmission) []string {
 	var v []string
-	if s := a.Stats; s.Offered != s.Admitted+s.Shed+uint64(s.InFlight) {
-		v = append(v, fmt.Sprintf("pool %s: admission accounting violated: offered %d != admitted %d + shed %d + in-flight %d",
-			a.Tenant, s.Offered, s.Admitted, s.Shed, s.InFlight))
+	if s := a.Stats; s.Offered != s.Admitted+s.Shed+uint64(s.Queued) {
+		v = append(v, fmt.Sprintf("pool %s: admission accounting violated: offered %d != admitted %d + shed %d + queued %d",
+			a.Tenant, s.Offered, s.Admitted, s.Shed, s.Queued))
 	}
 	if a.Stats.InFlight != 0 || a.Stats.Queued != 0 {
 		v = append(v, fmt.Sprintf("pool %s: drained with %d in flight, %d queued", a.Tenant, a.Stats.InFlight, a.Stats.Queued))

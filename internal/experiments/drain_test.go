@@ -32,12 +32,16 @@ func TestDrainChecks(t *testing.T) {
 	}{
 		{"bounded-queue", "pool fls1: bounded queue violated: max queued 9 > cap 8",
 			func(e *DrainEvidence) { e.Admission[0].Stats.MaxQueued = 9 }},
-		{"admission-accounting", "pool fls1: admission accounting violated: offered 101 != admitted 90 + shed 10 + in-flight 0",
+		{"admission-accounting", "pool fls1: admission accounting violated: offered 101 != admitted 90 + shed 10 + queued 0",
 			func(e *DrainEvidence) { e.Admission[0].Stats.Offered++ }},
+		// A queued operation is offered but not yet admitted.
 		{"admission-accounting", "pool fls1: drained with 0 in flight, 3 queued",
-			func(e *DrainEvidence) { e.Admission[0].Stats.Queued = 3 }},
+			func(e *DrainEvidence) { e.Admission[0].Stats.Offered, e.Admission[0].Stats.Queued = 103, 3 }},
+		{"admission-accounting", "pool fls1: drained with 0 in flight, 1 queued",
+			func(e *DrainEvidence) { e.Admission[0].Stats.Offered, e.Admission[0].Stats.Queued = 101, 1 }},
+		// An operation in flight was admitted when it got its slot.
 		{"admission-accounting", "pool fls1: drained with 1 in flight, 0 queued",
-			func(e *DrainEvidence) { e.Admission[0].Stats.InFlight, e.Admission[0].Stats.Admitted = 1, 89 }},
+			func(e *DrainEvidence) { e.Admission[0].Stats.InFlight = 1 }},
 		{"timeout-ledger", "timeout ledger unbalanced: armed 6 != cancelled 4 + fired 1, 0 pending",
 			func(e *DrainEvidence) { e.Engine.TimeoutsArmed++ }},
 		{"timeout-ledger", "timeout ledger unbalanced: armed 6 != cancelled 4 + fired 1, 1 pending",

@@ -18,6 +18,14 @@ import (
 // sample < 0 runs without any recorder. It also returns the engine's
 // self-counters at the end of the run.
 func runObserved(sample time.Duration) (FaultSweepRow, *obs.Recorder, int, sim.Stats) {
+	var row FaultSweepRow
+	rec, events, stats := observe(sample, func() { row = RunFaultSweep(FaultSweepCases(QuickScale)[0], QuickScale) })
+	return row, rec, events, stats
+}
+
+// observe runs run with the engine event counter and, when sample >= 0,
+// the recorder of runObserved attached to the testbed it builds.
+func observe(sample time.Duration, run func()) (*obs.Recorder, int, sim.Stats) {
 	var rec *obs.Recorder
 	var eng *sim.Engine
 	events := 0
@@ -34,8 +42,8 @@ func runObserved(sample time.Duration) (FaultSweepRow, *obs.Recorder, int, sim.S
 		}
 	}
 	defer func() { Observer = nil }()
-	row := RunFaultSweep(FaultSweepCases(QuickScale)[0], QuickScale)
-	return row, rec, events, eng.Stats()
+	run()
+	return rec, events, eng.Stats()
 }
 
 // TestObservabilityGolden runs the same recorded fault-sweep case
@@ -95,7 +103,8 @@ func TestObservabilityGolden(t *testing.T) {
 // whose sampler is off execute the exact same engine schedule (event
 // for event) and produce identical rows — the recorder only reads the
 // virtual clock. The engine's self-counters are read on both runs and
-// must agree too: counting is part of the engine, not an observer.
+// must agree too: counting is part of the engine, not an observer. The
+// contract is checked on a fault-sweep case and on F seqread.
 func TestObservabilityZeroOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -119,6 +128,36 @@ func TestObservabilityZeroOverhead(t *testing.T) {
 	}
 	if len(rec.Slices()) == 0 {
 		t.Fatal("recorder with sampler off should still record spans")
+	}
+	zeroOverheadChained(t)
+}
+
+// zeroOverheadChained is TestObservabilityZeroOverhead's contract on F
+// seqread, where client_lock acquisitions and FUSE crossings run as
+// sim.Chain segments: the chain reports lock waits to the wait observer
+// and to the request span (LockObserved) from engine callbacks, and
+// must do so without changing the schedule.
+func zeroOverheadChained(t *testing.T) {
+	scale := Scale{Factor: 0.02, Duration: 100 * time.Millisecond, Warmup: 20 * time.Millisecond}
+	var rowOff, rowOn ScaleoutRow
+	_, eventsOff, statsOff := observe(-1, func() { rowOff = RunSeqIOScaleout(core.ConfigF, 2, false, scale) })
+	rec, eventsOn, statsOn := observe(0, func() { rowOn = RunSeqIOScaleout(core.ConfigF, 2, false, scale) })
+	if rowOff != rowOn {
+		t.Fatalf("recorder changed results:\n  %+v\nvs\n  %+v", rowOff, rowOn)
+	}
+	if eventsOff != eventsOn || statsOff != statsOn {
+		t.Fatalf("recorder changed the engine schedule: %d events %+v without, %d events %+v with",
+			eventsOff, statsOff, eventsOn, statsOn)
+	}
+	if len(rec.Slices()) == 0 {
+		t.Fatal("recorder recorded no spans")
+	}
+	var m bytes.Buffer
+	if err := obs.WriteMetrics(&m, []obs.Run{{Label: "run0", Rec: rec}}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(m.String(), "client_lock") {
+		t.Fatal("metrics carry no client_lock waits from the chained lock hook")
 	}
 }
 

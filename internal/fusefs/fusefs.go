@@ -11,6 +11,8 @@
 package fusefs
 
 import (
+	"time"
+
 	"repro/internal/cpu"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -35,6 +37,8 @@ type Transport struct {
 	// is what collapses stacked-FUSE configurations when many cloned
 	// containers share one ceph-fuse process.
 	slots *sim.Resource
+
+	reqPool []*request // recycled crossing states, see request
 
 	// crashed marks a dead daemon process: requests on the FUSE channel
 	// fail with vfsapi.ErrCrashed — the transport error every tenant
@@ -108,31 +112,69 @@ func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn fun
 	}
 	// Application enters the kernel and hands the request to FUSE.
 	// CopyTime of an empty payload is zero: its segment charges nothing.
-	copyIn, copyOut := p.CopyTime(payloadIn), p.CopyTime(payloadOut)
-	t.cpus.ExecSeq(ctx.P, ctx.T.ModeSwitchSeg(),
-		ctx.T.Seg(cpu.Kernel, p.FUSERequestOverhead),
-		ctx.T.Seg(cpu.Kernel, copyIn), ctx.T.ContextSwitchSeg())
-
 	// Daemon side: wait for a free daemon thread (the request sits in
 	// the FUSE queue while all are busy), read the request, pay the
-	// copy out of the kernel, and serve it at user level.
-	t.slots.Acquire(ctx.P, 1)
+	// copy out of the kernel, and serve it at user level. The entry
+	// charges, the queueing and the daemon's read run as one chain.
+	r := t.getRequest()
+	r.copyIn = p.CopyTime(payloadIn)
+	copyOut := p.CopyTime(payloadOut)
+	ch := ctx.P.Chain()
+	t.cpus.Charge(ch, ctx.T.ModeSwitchSeg(),
+		ctx.T.Seg(cpu.Kernel, p.FUSERequestOverhead),
+		ctx.T.Seg(cpu.Kernel, r.copyIn), ctx.T.ContextSwitchSeg())
+	ch.Acquire(t.slots, 1).Func(r.dispatchFn).Run()
+	dth := r.dth
+	t.putRequest(r)
 	defer t.slots.Release(1)
-	if t.crashed {
-		// The daemon died while the request sat in the FUSE queue.
+	if dth == nil {
 		return vfsapi.ErrCrashed
 	}
-	dth := t.daemonThreads[t.next%len(t.daemonThreads)]
-	t.next++
-	dctx := vfsapi.Ctx{P: ctx.P, T: dth, Span: ctx.Span}
-	// The daemon returns from read(2) on /dev/fuse.
-	t.cpus.ExecSeq(ctx.P, dth.ModeSwitchSeg(), dth.Seg(cpu.Kernel, copyIn))
-	err := fn(dctx)
+	err := fn(vfsapi.Ctx{P: ctx.P, T: dth, Span: ctx.Span})
 	// The daemon writes the reply, then the application thread runs
 	// again and returns from the syscall.
 	t.cpus.ExecSeq(ctx.P, dth.Seg(cpu.Kernel, copyOut), dth.ModeSwitchSeg(),
 		ctx.T.ContextSwitchSeg(), ctx.T.Seg(cpu.Kernel, copyOut), ctx.T.ModeSwitchSeg())
 	return err
+}
+
+// request is the state of a crossing's entry chain, pooled per mount
+// so the chain's dispatch step is bound once and allocates nothing.
+type request struct {
+	t          *Transport
+	copyIn     time.Duration
+	dth        *cpu.Thread // daemon thread serving it; nil if the daemon died
+	dispatchFn func(*sim.Chain) bool
+}
+
+func (t *Transport) getRequest() *request {
+	if n := len(t.reqPool); n > 0 {
+		r := t.reqPool[n-1]
+		t.reqPool = t.reqPool[:n-1]
+		return r
+	}
+	r := &request{t: t}
+	r.dispatchFn = r.dispatch
+	return r
+}
+
+func (t *Transport) putRequest(r *request) {
+	r.dth = nil
+	t.reqPool = append(t.reqPool, r)
+}
+
+// dispatch hands the request, once it holds a daemon slot, to the next
+// daemon thread, which returns from read(2) on /dev/fuse. A daemon that
+// died while the request sat in the FUSE queue ends the chain.
+func (r *request) dispatch(ch *sim.Chain) bool {
+	t := r.t
+	if t.crashed {
+		return false
+	}
+	r.dth = t.daemonThreads[t.next%len(t.daemonThreads)]
+	t.next++
+	t.cpus.Charge(ch, r.dth.ModeSwitchSeg(), r.dth.Seg(cpu.Kernel, r.copyIn))
+	return true
 }
 
 // Open crosses to the daemon and wraps the returned handle.

@@ -33,6 +33,7 @@ type Link struct {
 	latency time.Duration
 	mtu     int64
 	xmit    *sim.Mutex
+	pool    []*transfer // recycled transfer states
 
 	bytes uint64
 	msgs  uint64
@@ -83,23 +84,11 @@ func (l *Link) Transfer(p *sim.Proc, n int64) error {
 	}
 	l.msgs++
 	l.bytes += uint64(n)
-	for n > 0 {
-		chunk := l.mtu
-		if n < chunk {
-			chunk = n
-		}
-		l.xmit.Lock(p)
-		tx := model.RateTime(chunk, l.bps)
-		p.Sleep(tx)
-		l.xmit.Unlock(p)
-		p.ReportWait("net", l.name, "", 0, tx)
-		n -= chunk
-	}
-	// Same capture-before-sleep rule as above: the propagation delay
-	// reported must be the delay actually slept, not one re-read after
-	// a fault window toggled extraLatency.
-	d := l.latency + l.extraLatency
-	p.Sleep(d)
+	// The chunks and the propagation delay run as one chain.
+	x := l.getTransfer(n)
+	p.Chain().Func(x.stepFn).Run()
+	d := x.prop
+	l.putTransfer(x)
 	p.ReportWait("net", l.name, "", 0, d)
 	if l.dropEvery > 0 {
 		l.dropCount++
@@ -108,6 +97,54 @@ func (l *Link) Transfer(p *sim.Proc, n int64) error {
 		}
 	}
 	return nil
+}
+
+// transfer is the state of one Transfer's chain, pooled per link so
+// its step is bound once and the chain allocates nothing.
+type transfer struct {
+	l      *Link
+	left   int64         // bytes not yet sent
+	tx     time.Duration // transmission time of the chunk just sent
+	prop   time.Duration // propagation delay, once the last chunk left
+	stepFn func(*sim.Chain) bool
+}
+
+func (l *Link) getTransfer(n int64) *transfer {
+	var x *transfer
+	if k := len(l.pool); k > 0 {
+		x = l.pool[k-1]
+		l.pool = l.pool[:k-1]
+	} else {
+		x = &transfer{l: l}
+		x.stepFn = x.step
+	}
+	x.left, x.tx, x.prop = n, 0, 0
+	return x
+}
+
+func (l *Link) putTransfer(x *transfer) { l.pool = append(l.pool, x) }
+
+// step reports the chunk just sent, if any, and appends the next one:
+// the transmit lock, the transmission, the unlock and the next step.
+// After the last chunk it appends the propagation delay. The same
+// capture-before-sleep rule as for a partition holds: the delay
+// reported must be the delay actually slept, not one re-read after a
+// fault window toggled extraLatency.
+func (x *transfer) step(ch *sim.Chain) bool {
+	l := x.l
+	if x.tx > 0 {
+		ch.Proc().ReportWait("net", l.name, "", 0, x.tx)
+	}
+	if x.left > 0 {
+		chunk := min(l.mtu, x.left)
+		x.left -= chunk
+		x.tx = model.RateTime(chunk, l.bps)
+		ch.Lock(l.xmit).Sleep(x.tx).Unlock(l.xmit).Func(x.stepFn)
+		return true
+	}
+	x.prop = l.latency + l.extraLatency
+	ch.Sleep(x.prop)
+	return true
 }
 
 // Bytes returns total bytes transferred.

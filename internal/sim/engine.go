@@ -40,6 +40,11 @@ type Engine struct {
 	tracer  func(TraceEvent) // optional observer, see SetTracer
 	waitObs WaitFn           // optional wait observer, see SetWaitObserver
 
+	// chainPool recycles chains (their segment storage), keeping chained
+	// steps free of per-call allocations. Safe without locking: exactly
+	// one goroutine runs at any instant in the simulation.
+	chainPool []*Chain
+
 	stats Stats
 }
 
@@ -47,7 +52,8 @@ type Engine struct {
 // are plain increments, so reading them never changes the schedule.
 type Stats struct {
 	// Callbacks and Resumes count the events traced as TraceCallback
-	// and TraceResume. An absorbed WaitUntil wake is a callback.
+	// and TraceResume. An absorbed WaitUntil wake is a callback, and so
+	// is a chained process's wake that continues its chain (see Chain).
 	Callbacks uint64
 	Resumes   uint64
 	// Resumes split by who runs the resumed process. InlineWakes are a
@@ -203,6 +209,9 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 			if ev.p.until != nil && ev.p.until.recheck() {
 				continue
 			}
+			if ev.p.chain != nil && ev.p.chain.fire() {
+				continue
+			}
 			e.trace(TraceEvent{At: e.now, Kind: TraceResume, Proc: ev.p.name, ProcID: ev.p.id})
 			e.stats.Resumes++
 			e.resumeProc(ev.p)
@@ -228,17 +237,6 @@ func (e *Engine) resumeProc(p *Proc) {
 // that build their own blocking primitives on top of the engine.
 func (e *Engine) ScheduleWake(p *Proc) {
 	e.scheduleWake(p, e.now)
-}
-
-// ScheduleWakeAfter arranges for p to resume at now+d. It lets engine
-// callbacks hand a timed wake to a parked process (a CPU burst ends this
-// way) without the process burning a park/resume round trip on an
-// intermediate Sleep.
-func (e *Engine) ScheduleWakeAfter(p *Proc, d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	e.scheduleWake(p, e.now+d)
 }
 
 // scheduleWake arranges for p to resume at absolute time at. A parked

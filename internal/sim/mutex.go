@@ -62,21 +62,34 @@ func (m *Mutex) ResetStats() { m.stats = LockStats{} }
 
 // Lock acquires m for p, blocking in FIFO order while it is held.
 func (m *Mutex) Lock(p *Proc) {
+	since := m.eng.now
+	if holder := m.lockOrQueue(p); holder != nil {
+		p.park()
+		m.granted(p, since, holder)
+	}
+}
+
+// lockOrQueue takes m for p if it is free and returns nil. Otherwise it
+// queues p and returns the holder. Blame attribution: the party
+// responsible for the wait is whoever held the lock when p queued, not
+// whoever hands it over — under FIFO handoff the final owner may be an
+// innocent waiter ahead of p.
+func (m *Mutex) lockOrQueue(p *Proc) *Proc {
 	m.stats.Acquisitions++
 	if m.owner == nil {
 		m.owner = p
 		m.lockedAt = m.eng.now
-		return
+		return nil
 	}
 	m.stats.Contended++
-	since := m.eng.now
-	// Blame attribution: the party responsible for this wait is whoever
-	// held the lock when we queued, not whoever hands it to us — under
-	// FIFO handoff the final owner may be an innocent waiter ahead of us.
 	holder := m.owner
 	m.waiters = append(m.waiters, p)
-	p.park()
-	// Ownership was handed off in Unlock; record the wait we endured.
+	return holder
+}
+
+// granted records the wait of p, queued at since behind holder, once
+// Unlock has handed it the lock.
+func (m *Mutex) granted(p *Proc, since time.Duration, holder *Proc) {
 	wait := m.eng.now - since
 	m.stats.TotalWait += wait
 	if wait > m.stats.MaxWait {

@@ -24,6 +24,9 @@ type Proc struct {
 	// until is the WaitUntil wait p is parked in, if any: the engine
 	// re-checks its condition when p's wake is popped.
 	until *qWaiter
+	// chain is the chain p runs, if any: the engine continues it when
+	// p's wake is popped, and resumes p only once it is complete.
+	chain *Chain
 }
 
 type wakeReason int
@@ -56,7 +59,8 @@ func (p *Proc) Park() { p.park() }
 // Fast path: before paying the two channel handoffs of a goroutine
 // round trip, the parking process executes elidable pending events
 // inline — engine callbacks, timeouts, WaitUntil wakes whose re-check
-// fails (see qWaiter.recheck), and its own wake. These are exactly the
+// fails (see qWaiter.recheck), wakes that continue a chain without
+// completing it (see Chain.fire), and its own wake. These are exactly the
 // events the engine loop would process next, popped in identical heap
 // order with identical clock, trace, and seq effects, so the inline
 // path is indistinguishable from the parked one except in wall-clock
@@ -89,6 +93,9 @@ func (p *Proc) park() wakeReason {
 		}
 		q := ev.p
 		if q.until != nil && q.until.recheck() {
+			continue
+		}
+		if q.chain != nil && q.chain.fire() {
 			continue
 		}
 		e.trace(TraceEvent{At: e.now, Kind: TraceResume, Proc: q.name, ProcID: q.id})

@@ -10,7 +10,10 @@ type Resource struct {
 	name     string
 	capacity int64
 	inUse    int64
-	waiters  []*resWaiter
+	// waiters is a FIFO ring: live entries are waiters[whead:], as in
+	// Mutex.
+	waiters []resWaiter
+	whead   int
 
 	busySince time.Duration
 	busyTime  time.Duration
@@ -32,15 +35,23 @@ func NewResource(e *Engine, name string, capacity int64) *Resource {
 // Acquire blocks p until n units are available, then claims them.
 // Requests are admitted strictly in FIFO order to avoid starvation.
 func (r *Resource) Acquire(p *Proc, n int64) {
+	if !r.acquireOrQueue(p, n) {
+		p.park()
+	}
+}
+
+// acquireOrQueue claims n units for p and reports true, or queues p for
+// Release to admit.
+func (r *Resource) acquireOrQueue(p *Proc, n int64) bool {
 	if n > r.capacity {
 		panic("sim: Resource.Acquire exceeds capacity on " + r.name)
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.Waiters() == 0 && r.inUse+n <= r.capacity {
 		r.claim(n)
-		return
+		return true
 	}
-	r.waiters = append(r.waiters, &resWaiter{p: p, n: n})
-	p.park()
+	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
+	return false
 }
 
 // Release returns n units and admits as many queued waiters as now fit,
@@ -50,17 +61,28 @@ func (r *Resource) Release(n int64) {
 	if r.inUse < 0 {
 		panic("sim: Resource.Release underflow on " + r.name)
 	}
-	if r.inUse == 0 && len(r.waiters) == 0 {
+	if r.inUse == 0 && r.Waiters() == 0 {
 		r.busyTime += r.eng.now - r.busySince
 	}
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.whead < len(r.waiters) {
+		w := r.waiters[r.whead]
 		if r.inUse+w.n > r.capacity {
 			break
 		}
-		r.waiters = r.waiters[1:]
+		r.waiters[r.whead] = resWaiter{}
+		r.whead++
 		r.claim(w.n)
 		r.eng.scheduleWake(w.p, r.eng.now)
+	}
+	switch {
+	case r.whead == len(r.waiters):
+		r.waiters = r.waiters[:0]
+		r.whead = 0
+	case r.whead >= 64 && r.whead*2 >= len(r.waiters):
+		n := copy(r.waiters, r.waiters[r.whead:])
+		clear(r.waiters[n:])
+		r.waiters = r.waiters[:n]
+		r.whead = 0
 	}
 }
 
@@ -78,7 +100,7 @@ func (r *Resource) InUse() int64 { return r.inUse }
 func (r *Resource) Capacity() int64 { return r.capacity }
 
 // Waiters returns the number of queued acquisition requests.
-func (r *Resource) Waiters() int { return len(r.waiters) }
+func (r *Resource) Waiters() int { return len(r.waiters) - r.whead }
 
 // BusyTime returns total virtual time during which the resource had at
 // least one unit claimed.

@@ -20,11 +20,11 @@ type AdmissionConfig struct {
 	OnPressure  func(bool)
 }
 
-// AdmissionStats is a point-in-time snapshot of a controller.
-// Offered == Admitted + Shed + queued + InFlight-not-yet-finished is
-// not an identity of the snapshot alone; the invariant checked by the
-// fuzzer is Offered == Admitted + Shed once the run has drained
-// (InFlight covers long-lived background ops still mid-flight).
+// AdmissionStats is a point-in-time snapshot of a controller. Admitted
+// counts an operation when it is granted a slot, so InFlight ops are
+// among the admitted ones. Once the run has drained — no slot handed
+// to a waiter that has not woken yet — Offered == Admitted + Shed +
+// Queued, and a drained pool has no operation queued or in flight.
 type AdmissionStats struct {
 	Offered    uint64
 	Admitted   uint64
